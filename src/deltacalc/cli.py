@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -740,10 +741,37 @@ _HANDLERS = {
 }
 
 
+# Option names are dashes, lowercase letters and an optional "=value";
+# no expression looks like that, since every variable carries an index.
+_OPTION = re.compile(r"--?[a-z][a-z-]*(=.*)?")
+
+
+def _dashed_arguments(argv: list[str]) -> list[str]:
+    """Keep argparse from reading an argument that starts with "-" as an
+    unknown option: an option value, as in "--window -3:3", is joined to
+    its option, and an expression such as "-5*x1^3" moves behind a "--"."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    kept, moved = [], []
+    takes_value = False
+    for arg in argv[:cut]:
+        is_option = bool(_OPTION.fullmatch(arg))
+        if is_option or not arg.startswith("-"):
+            kept.append(arg)
+        elif takes_value:
+            kept[-1] += "=" + arg
+        else:
+            moved.append(arg)
+        is_flag = any(flag.startswith(arg) for flag in ("-h", "--help", "--json"))
+        takes_value = is_option and "=" not in arg and not is_flag
+    rest = moved + argv[cut + 1 :]
+    return kept + ["--"] + rest if rest else kept
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_dashed_arguments(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -755,3 +783,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

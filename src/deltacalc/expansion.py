@@ -24,7 +24,6 @@ from .group_ring import (
     LatticePoint,
     identity,
     shift,
-    zero,
 )
 
 
@@ -125,7 +124,7 @@ def expand_word_grouped(word: Iterable[Iterable[int]]) -> GroupedExpansion:
     grouped: dict[tuple[int, ...], GroupRingElement] = {}
     for indices, coeff in expand_word_sequence(letters).items():
         q = tuple(indices.count(m) for m in range(1, dimension + 1))
-        grouped[q] = grouped.get(q, zero(dimension)) + coeff
+        grouped[q] = grouped[q] + coeff if q in grouped else coeff
     grouped = {q: coeff for q, coeff in grouped.items() if coeff}
     return GroupedExpansion(dimension=dimension, word_length=len(letters), terms=grouped)
 

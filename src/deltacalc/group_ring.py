@@ -16,35 +16,31 @@ nonzero integer coefficients; the zero element has no terms.  All
 coefficients are arbitrary-precision, equality is structural equality
 of the canonical zero-pruned form, and elements are never mutated
 after construction.
+
+Inputs are validated at the public boundary: the constructor, shift,
+delta, word_operator and apply check every point they are given.
+Sums, negations and products of elements are computed from operands
+that are canonical already, so their results are trusted and built
+without a second check.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping
+from operator import add
+from typing import Callable, Iterable, Mapping
+
+from ._sparse import DimensionMismatchError, SparseMap, checked_tuple, prune
 
 LatticePoint = tuple[int, ...]
 DifferenceWord = tuple[LatticePoint, ...]
-
-
-class DimensionMismatchError(ValueError):
-    """Operands live on lattices of different dimension."""
 
 
 class WindowError(ValueError):
     """A tabulated function was asked for a value outside its window."""
 
 
-def _checked_point(point: Iterable[int], dimension: int) -> LatticePoint:
-    point = tuple(point)
-    if len(point) != dimension:
-        raise DimensionMismatchError(
-            f"point {point} has dimension {len(point)}, expected {dimension}"
-        )
-    return point
-
-
-class GroupRingElement:
+class GroupRingElement(SparseMap):
     """A finite integer combination of lattice shifts.
 
     The element ``2*[(1,0)] - [(0,2)]`` maps f to the function
@@ -54,95 +50,32 @@ class GroupRingElement:
     coefficients dropped, so equal operators always compare equal.
     """
 
-    __slots__ = ("dimension", "_terms")
+    __slots__ = ()
 
     def __init__(
         self,
         dimension: int,
         terms: Mapping[LatticePoint, int] | Iterable[tuple[LatticePoint, int]] = (),
     ):
-        if dimension < 1:
-            raise ValueError(f"dimension must be at least 1, got {dimension}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[LatticePoint, int] = {}
-        for point, coeff in items:
-            point = _checked_point(point, dimension)
-            total = clean.get(point, 0) + coeff
-            if total:
-                clean[point] = total
-            else:
-                clean.pop(point, None)
-        self.dimension = dimension
-        self._terms = clean
-
-    def terms(self) -> list[tuple[LatticePoint, int]]:
-        """The (point, coefficient) pairs in lexicographic point order."""
-        return sorted(self._terms.items())
-
-    def coefficient(self, point: Iterable[int]) -> int:
-        return self._terms.get(tuple(point), 0)
+        self._validate(dimension, terms, checked_tuple)
 
     def to_records(self) -> list[dict]:
         return [{"coords": list(p), "coeff": c} for p, c in self.terms()]
 
-    def _require_same_dimension(self, other: GroupRingElement) -> None:
-        if self.dimension != other.dimension:
-            raise DimensionMismatchError(
-                f"cannot combine elements of dimension {self.dimension} and {other.dimension}"
-            )
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GroupRingElement)
-            and self.dimension == other.dimension
-            and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dimension, frozenset(self._terms.items())))
-
-    def __neg__(self) -> GroupRingElement:
-        return GroupRingElement(self.dimension, {p: -c for p, c in self._terms.items()})
-
-    def __add__(self, other: GroupRingElement) -> GroupRingElement:
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        self._require_same_dimension(other)
-        out = dict(self._terms)
-        for point, coeff in other._terms.items():
-            total = out.get(point, 0) + coeff
-            if total:
-                out[point] = total
-            else:
-                out.pop(point, None)
-        return GroupRingElement(self.dimension, out)
-
-    def __sub__(self, other: GroupRingElement) -> GroupRingElement:
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: GroupRingElement | int) -> GroupRingElement:
         if isinstance(other, int):
-            return GroupRingElement(
-                self.dimension, {p: c * other for p, c in self._terms.items()}
-            )
+            return self._scaled(other)
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._require_same_dimension(other)
         out: dict[LatticePoint, int] = {}
-        for p, c in self._terms.items():
-            for q, d in other._terms.items():
-                point = tuple(pi + qi for pi, qi in zip(p, q))
-                total = out.get(point, 0) + c * d
-                if total:
-                    out[point] = total
-                else:
-                    out.pop(point, None)
-        return GroupRingElement(self.dimension, out)
+        get = out.get
+        right = other._coeffs.items()
+        for p, c in self._coeffs.items():
+            for q, d in right:
+                point = tuple(map(add, p, q))
+                out[point] = get(point, 0) + c * d
+        return GroupRingElement._from_clean(self.dimension, prune(out))
 
     def __rmul__(self, other: int) -> GroupRingElement:
         if isinstance(other, int):
@@ -158,14 +91,11 @@ class GroupRingElement:
         return out
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         return " + ".join(
             f"{c}*[{','.join(map(str, p))}]" for p, c in self.terms()
         )
-
-    def __repr__(self) -> str:
-        return f"GroupRingElement({self.dimension}, {dict(self.terms())})"
 
 
 def zero(dimension: int) -> GroupRingElement:
@@ -185,7 +115,7 @@ def shift(a: Iterable[int]) -> GroupRingElement:
 def delta(a: Iterable[int]) -> GroupRingElement:
     """The forward difference along ``a``: f |-> f(. + a) - f."""
     a = tuple(a)
-    return shift(a) - identity(len(a))
+    return GroupRingElement(len(a), [(a, 1), ((0,) * len(a), -1)])
 
 
 def word_operator(word: Iterable[Iterable[int]]) -> GroupRingElement:
@@ -196,7 +126,7 @@ def word_operator(word: Iterable[Iterable[int]]) -> GroupRingElement:
     dimension = len(letters[0])
     out = identity(dimension)
     for a in letters:
-        out = out * delta(_checked_point(a, dimension))
+        out = out * delta(checked_tuple(a, dimension))
     return out
 
 
@@ -207,14 +137,14 @@ def apply(element: GroupRingElement, func: Callable[[LatticePoint], int], x: Ite
     coordinate tuples; tabulated functions raise :class:`WindowError`
     when a shifted argument x + c escapes their window.
     """
-    x = _checked_point(x, element.dimension)
+    x = checked_tuple(x, element.dimension)
     func_dimension = getattr(func, "dimension", None)
     if func_dimension is not None and func_dimension != element.dimension:
         raise DimensionMismatchError(
             f"operator of dimension {element.dimension} applied to function of dimension {func_dimension}"
         )
     total = 0
-    for point, coeff in element._terms.items():
+    for point, coeff in element._coeffs.items():
         total += coeff * func(tuple(xi + ci for xi, ci in zip(x, point)))
     return total
 
@@ -264,7 +194,7 @@ class IntegerFunction:
         """Wrap an explicit table covering every point of [lo, hi]^N."""
         if lo > hi:
             raise ValueError(f"empty window [{lo}, {hi}]")
-        table = {_checked_point(p, dimension): v for p, v in values.items()}
+        table = {checked_tuple(p, dimension): v for p, v in values.items()}
         expected = (hi - lo + 1) ** dimension
         inside = all(lo <= c <= hi for p in table for c in p)
         if len(table) != expected or not inside:
@@ -286,7 +216,7 @@ class IntegerFunction:
         return cls.from_table({p: func(p) for p in points}, dimension, lo, hi)
 
     def __call__(self, x: Iterable[int]) -> int:
-        x = _checked_point(x, self.dimension)
+        x = checked_tuple(x, self.dimension)
         if self.window is not None:
             lo, hi = self.window
             if any(not lo <= xi <= hi for xi in x):

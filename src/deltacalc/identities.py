@@ -114,18 +114,18 @@ def _mismatch(inputs: dict, lhs, rhs) -> dict:
     return {"inputs": inputs, "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _random_point(rng: random.Random, dimension: int, bound: int) -> LatticePoint:
+def random_point(rng: random.Random, dimension: int, bound: int) -> LatticePoint:
     return tuple(rng.randint(-bound, bound) for _ in range(dimension))
 
 
 def _random_nonzero_point(rng: random.Random, dimension: int, bound: int) -> LatticePoint:
     while True:
-        point = _random_point(rng, dimension, bound)
+        point = random_point(rng, dimension, bound)
         if any(point):
             return point
 
 
-def _random_element(
+def random_element(
     rng: random.Random,
     dimension: int,
     max_terms: int = 6,
@@ -133,7 +133,7 @@ def _random_element(
     coeff_bound: int = 9,
 ) -> GroupRingElement:
     pairs = [
-        (_random_point(rng, dimension, coord_bound), rng.randint(-coeff_bound, coeff_bound))
+        (random_point(rng, dimension, coord_bound), rng.randint(-coeff_bound, coeff_bound))
         for _ in range(rng.randint(0, max_terms))
     ]
     return GroupRingElement(dimension, pairs)
@@ -142,14 +142,14 @@ def _random_term(
     rng: random.Random, dimension: int, coord_bound: int = 4, coeff_bound: int = 9
 ) -> GroupRingElement:
     coeff = rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c])
-    return GroupRingElement(dimension, {_random_point(rng, dimension, coord_bound): coeff})
+    return GroupRingElement(dimension, {random_point(rng, dimension, coord_bound): coeff})
 
 
 def _random_word(
     rng: random.Random, dimension: int, max_length: int = 3, coord_bound: int = 3
 ) -> tuple[LatticePoint, ...]:
     return tuple(
-        _random_point(rng, dimension, coord_bound)
+        random_point(rng, dimension, coord_bound)
         for _ in range(rng.randint(1, max_length))
     )
 
@@ -190,16 +190,17 @@ def _random_polyfract(
             return poly
 
 
-def _unit_step(dimension: int, k: int) -> LatticePoint:
+def unit_step(dimension: int, k: int) -> LatticePoint:
     point = [0] * dimension
     point[k - 1] = 1
     return tuple(point)
 
 
-def _standard_word_element(dimension: int, q: Iterable[int]) -> GroupRingElement:
+def standard_word_element(dimension: int, q: Iterable[int]) -> GroupRingElement:
+    """delta(e_1)^q_1 * ... * delta(e_N)^q_N as a ring element."""
     out = identity(dimension)
     for axis, mult in enumerate(q):
-        out = out * delta(_unit_step(dimension, axis + 1)) ** mult
+        out = out * delta(unit_step(dimension, axis + 1)) ** mult
     return out
 
 
@@ -207,9 +208,9 @@ def _check_ring_laws(rng: random.Random, trials: int):
     failures = []
     for index in range(trials):
         dimension = rng.randint(1, 3)
-        t = _random_element(rng, dimension)
-        u = _random_element(rng, dimension)
-        v = _random_element(rng, dimension)
+        t = random_element(rng, dimension)
+        u = random_element(rng, dimension)
+        v = random_element(rng, dimension)
         cases = [
             ("t*u == u*t", t * u, u * t),
             ("(t*u)*v == t*(u*v)", (t * u) * v, t * (u * v)),
@@ -239,8 +240,8 @@ def _check_step_splitting(rng: random.Random, trials: int):
     failures = []
     for index in range(trials):
         dimension = rng.randint(1, 3)
-        s1 = _random_point(rng, dimension, 4)
-        s2 = _random_point(rng, dimension, 4)
+        s1 = random_point(rng, dimension, 4)
+        s2 = random_point(rng, dimension, 4)
         lhs = delta(tuple(a + b for a, b in zip(s1, s2)))
         rhs = shift(s1) * delta(s2) + delta(s1)
         if lhs != rhs:
@@ -253,7 +254,7 @@ def _check_shift_power(rng: random.Random, trials: int):
     failures = []
     for index in range(trials):
         dimension = rng.randint(1, 3)
-        s = _random_point(rng, dimension, 4)
+        s = random_point(rng, dimension, 4)
         k = rng.randint(0, 6)
         lhs = shift(s) ** k
         rhs = shift(tuple(k * c for c in s))
@@ -266,8 +267,8 @@ def _check_shift_additivity(rng: random.Random, trials: int):
     failures = []
     for index in range(trials):
         dimension = rng.randint(1, 3)
-        a = _random_point(rng, dimension, 4)
-        b = _random_point(rng, dimension, 4)
+        a = random_point(rng, dimension, 4)
+        b = random_point(rng, dimension, 4)
         lhs = shift(a) * shift(b)
         rhs = shift(tuple(ai + bi for ai, bi in zip(a, b)))
         if lhs != rhs:
@@ -280,8 +281,8 @@ def _check_commutation(rng: random.Random, trials: int):
     failures = []
     for index in range(trials):
         dimension = rng.randint(1, 3)
-        a = _random_point(rng, dimension, 4)
-        b = _random_point(rng, dimension, 4)
+        a = random_point(rng, dimension, 4)
+        b = random_point(rng, dimension, 4)
         cases = [
             ("[a][b] == [b][a]", shift(a) * shift(b), shift(b) * shift(a)),
             ("d(a)d(b) == d(b)d(a)", delta(a) * delta(b), delta(b) * delta(a)),
@@ -331,7 +332,7 @@ def _check_sequence_expansion(rng: random.Random, trials: int):
         lhs = word_operator(word)
         rhs = zero(dimension)
         for indices, coeff in expand_word_sequence(word).items():
-            rhs = rhs + coeff * _standard_word_element(
+            rhs = rhs + coeff * standard_word_element(
                 dimension, [indices.count(m) for m in range(1, dimension + 1)]
             )
         if lhs != rhs:
@@ -356,7 +357,7 @@ def _check_grouped_expansion(rng: random.Random, trials: int):
         lhs = word_operator(word)
         rhs = zero(dimension)
         for q, coeff in grouped.terms.items():
-            rhs = rhs + coeff * _standard_word_element(dimension, q)
+            rhs = rhs + coeff * standard_word_element(dimension, q)
         if lhs != rhs:
             failures.append(_mismatch(inputs, lhs, rhs))
     return trials, failures
@@ -370,7 +371,7 @@ def _check_cyclic_factorization(rng: random.Random, trials: int):
     for length in range(1, 5):
         for multipliers in itertools.product(range(1, 5), repeat=length):
             dimension = rng.randint(1, 3)
-            s = _random_point(rng, dimension, 2)
+            s = random_point(rng, dimension, 2)
             checked += 1
             word = tuple(tuple(r * c for c in s) for r in multipliers)
             lhs = word_operator(word)
@@ -418,7 +419,7 @@ def _check_basis_differentiation(rng: random.Random, trials: int):
         poly = Polyfract(dimension, {n: _nonzero_coeff(rng)})
         m = tuple(rng.randint(0, mult_cap) for _ in range(dimension))
         expected = poly.delta_standard(m)
-        operator = _standard_word_element(dimension, m)
+        operator = standard_word_element(dimension, m)
         func = IntegerFunction.from_polyfract(poly)
         for x in itertools.product(range(-6, 7), repeat=dimension):
             got = apply(operator, func, x)
@@ -517,9 +518,9 @@ def _check_alternating_sum(rng: random.Random, trials: int):
     for index in range(trials):
         dimension = rng.randint(1, 3)
         step_bound, max_order = (3, 5) if dimension < 3 else (2, 3)
-        a = _random_point(rng, dimension, step_bound)
+        a = random_point(rng, dimension, step_bound)
         n = rng.randint(0, max_order)
-        x = _random_point(rng, dimension, 2)
+        x = random_point(rng, dimension, 2)
         touched = [xl for xl in x] + [xl + n * al for xl, al in zip(x, a)]
         lo, hi = min(touched) - 4, max(touched) + 4
         table = {
@@ -545,7 +546,7 @@ def _check_alternating_sum_multi(rng: random.Random, trials: int):
         dimension = rng.randint(1, 3)
         m = tuple(rng.randint(0, 4) for _ in range(dimension))
         n = tuple(rng.randint(0, ml) for ml in m)
-        x = _random_point(rng, dimension, 4)
+        x = random_point(rng, dimension, 4)
         lhs, rhs = alt_sum_multivariate(m, n, x, corrected=True)
         direct = Polyfract(dimension, {m: 1}).delta_standard(n).eval(x)
         if not lhs == rhs == direct:
@@ -562,7 +563,7 @@ def _check_alternating_sum_multi_unweighted(rng: random.Random, trials: int):
         dimension = rng.randint(1, 3)
         m = tuple(rng.randint(3, 4) for _ in range(dimension))
         n = tuple(rng.randint(2, ml - 1) for ml in m)
-        x = _random_point(rng, dimension, 4)
+        x = random_point(rng, dimension, 4)
         instances.append((m, n, x))
     failures = []
     for m, n, x in instances:

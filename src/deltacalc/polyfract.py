@@ -11,6 +11,12 @@ and reconstructions all become exact bookkeeping.
 count() is the largest |n| over the support, the degree in this basis;
 the zero polynomial gets NEG_INFINITY so that degree arithmetic stays
 monotone under differences.
+
+Inputs are validated at the public boundary: the constructors check
+every exponent tuple, and the methods check the vectors they are given.
+Results computed from a polynomial that is canonical already (sums,
+negations, multiples, shifts, differences, reconstructions) are
+trusted and built without a second check.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cache
+from operator import sub
 from typing import Iterable, Iterator, Mapping
 
-from .group_ring import DimensionMismatchError, IntegerFunction, LatticePoint
+from ._sparse import SparseMap, checked_tuple, prune
+from .group_ring import IntegerFunction, LatticePoint
 
 ExponentTuple = tuple[int, ...]
 
@@ -51,10 +59,14 @@ def exponent_tuples(dimension: int, max_norm: int | float) -> Iterator[ExponentT
 
 @cache
 def _shifted_basis(n: ExponentTuple, a: LatticePoint) -> tuple[tuple[ExponentTuple, int], ...]:
-    # C(x + a, n) re-expanded over the basis; the j <= n truncation is
-    # exact because C(x, n - j) is not a basis element once any j_l > n_l.
+    # The forward difference C(x + a, n) - C(x, n) re-expanded over the
+    # basis.  Per axis, C(x + a, n) is the sum over j <= n of
+    # C(a, j) * C(x, n - j); the j = 0 term is C(x, n) itself and cancels,
+    # so it is skipped.  Adding C(x, n) back gives the shift.
     out = []
-    for j in itertools.product(*(range(nl + 1) for nl in n)):
+    terms = itertools.product(*(range(nl + 1) for nl in n))
+    next(terms)
+    for j in terms:
         weight = 1
         for al, jl in zip(a, j):
             weight *= binom(al, jl)
@@ -65,51 +77,32 @@ def _shifted_basis(n: ExponentTuple, a: LatticePoint) -> tuple[tuple[ExponentTup
     return tuple(out)
 
 
-class Polyfract:
+def _checked_exponents(exps: Iterable[int], dimension: int) -> ExponentTuple:
+    exps = checked_tuple(exps, dimension, "exponent tuple")
+    if any(e < 0 for e in exps):
+        raise ValueError(f"exponents must be nonnegative, got {exps}")
+    return exps
+
+
+class Polyfract(SparseMap):
     """A canonical binomial-basis polynomial with integer coefficients."""
 
-    __slots__ = ("dimension", "_coeffs")
+    __slots__ = ()
+
+    _noun = "polynomials"
 
     def __init__(
         self,
         dimension: int,
         coeffs: Mapping[ExponentTuple, int] | Iterable[tuple[ExponentTuple, int]] = (),
     ):
-        if dimension < 1:
-            raise ValueError(f"dimension must be at least 1, got {dimension}")
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean: dict[ExponentTuple, int] = {}
-        for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != dimension:
-                raise DimensionMismatchError(
-                    f"exponent tuple {exps} has dimension {len(exps)}, expected {dimension}"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"exponents must be nonnegative, got {exps}")
-            total = clean.get(exps, 0) + coeff
-            if total:
-                clean[exps] = total
-            else:
-                clean.pop(exps, None)
-        self.dimension = dimension
-        self._coeffs = clean
-
-    def terms(self) -> list[tuple[ExponentTuple, int]]:
-        return sorted(self._coeffs.items())
-
-    def coefficient(self, exps: Iterable[int]) -> int:
-        return self._coeffs.get(tuple(exps), 0)
+        self._validate(dimension, coeffs, _checked_exponents)
 
     def to_records(self) -> list[dict]:
         return [{"n": list(n), "b": b} for n, b in self.terms()]
 
     def eval(self, x: Iterable[int]) -> int:
-        x = tuple(x)
-        if len(x) != self.dimension:
-            raise DimensionMismatchError(
-                f"point {x} has dimension {len(x)}, expected {self.dimension}"
-            )
+        x = checked_tuple(x, self.dimension)
         total = 0
         for n, b in self._coeffs.items():
             value = b
@@ -130,80 +123,40 @@ class Polyfract:
         Exponent tuples drop by m componentwise; terms that would go
         negative vanish, so m may exceed the support without harm.
         """
-        m = tuple(m)
-        if len(m) != self.dimension:
-            raise DimensionMismatchError(
-                f"multiplicity tuple {m} has dimension {len(m)}, expected {self.dimension}"
-            )
+        m = checked_tuple(m, self.dimension, "multiplicity tuple")
         if any(ml < 0 for ml in m):
             raise ValueError(f"multiplicities must be nonnegative, got {m}")
         out = {}
         for n, b in self._coeffs.items():
-            shifted = tuple(nl - ml for nl, ml in zip(n, m))
-            if all(e >= 0 for e in shifted):
+            shifted = tuple(map(sub, n, m))
+            if min(shifted) >= 0:
                 out[shifted] = b
-        return Polyfract(self.dimension, out)
+        return Polyfract._from_clean(self.dimension, out)
 
     def shift_by(self, a: Iterable[int]) -> Polyfract:
         """The translate x |-> self(x + a), exactly, in the same basis."""
-        a = tuple(a)
-        if len(a) != self.dimension:
-            raise DimensionMismatchError(
-                f"shift vector {a} has dimension {len(a)}, expected {self.dimension}"
-            )
+        a = checked_tuple(a, self.dimension, "shift vector")
         if not any(a):
             return self
-        out: dict[ExponentTuple, int] = {}
-        for n, b in self._coeffs.items():
-            for target, weight in _shifted_basis(n, a):
-                out[target] = out.get(target, 0) + b * weight
-        return Polyfract(self.dimension, out)
+        return self._plus_difference(dict(self._coeffs), a)
 
     def delta_direction(self, a: Iterable[int]) -> Polyfract:
-        """The forward difference along an arbitrary lattice vector ``a``."""
-        return self.shift_by(a) - self
+        """The forward difference along an arbitrary lattice vector ``a``,
+        self(x + a) - self(x), in one pass over the support."""
+        return self._plus_difference({}, checked_tuple(a, self.dimension, "shift vector"))
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Polyfract)
-            and self.dimension == other.dimension
-            and self._coeffs == other._coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dimension, frozenset(self._coeffs.items())))
-
-    def __neg__(self) -> Polyfract:
-        return Polyfract(self.dimension, {n: -b for n, b in self._coeffs.items()})
-
-    def __add__(self, other: Polyfract) -> Polyfract:
-        if not isinstance(other, Polyfract):
-            return NotImplemented
-        if self.dimension != other.dimension:
-            raise DimensionMismatchError(
-                f"cannot combine polynomials of dimension {self.dimension} and {other.dimension}"
-            )
-        out = dict(self._coeffs)
-        for n, b in other._coeffs.items():
-            total = out.get(n, 0) + b
-            if total:
-                out[n] = total
-            else:
-                out.pop(n, None)
-        return Polyfract(self.dimension, out)
-
-    def __sub__(self, other: Polyfract) -> Polyfract:
-        if not isinstance(other, Polyfract):
-            return NotImplemented
-        return self + (-other)
+    def _plus_difference(self, out: dict, a: LatticePoint) -> Polyfract:
+        # out + (the difference of self along a); takes ownership of out.
+        get = out.get
+        for n, b in self._coeffs.items():
+            for target, weight in _shifted_basis(n, a):
+                out[target] = get(target, 0) + b * weight
+        return Polyfract._from_clean(self.dimension, prune(out))
 
     def __mul__(self, other: int) -> Polyfract:
         if not isinstance(other, int):
             return NotImplemented
-        return Polyfract(self.dimension, {n: b * other for n, b in self._coeffs.items()})
+        return self._scaled(other)
 
     __rmul__ = __mul__
 
@@ -216,52 +169,26 @@ class Polyfract:
             parts.append("*".join([str(b)] + factors))
         return " + ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"Polyfract({self.dimension}, {dict(self.terms())})"
 
-
-class MonomialPolynomial:
+class MonomialPolynomial(SparseMap):
     """An ordinary power-basis polynomial with integer coefficients."""
 
-    __slots__ = ("dimension", "_coeffs")
+    __slots__ = ()
+
+    _noun = "polynomials"
 
     def __init__(
         self,
         dimension: int,
         coeffs: Mapping[ExponentTuple, int] | Iterable[tuple[ExponentTuple, int]] = (),
     ):
-        if dimension < 1:
-            raise ValueError(f"dimension must be at least 1, got {dimension}")
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean: dict[ExponentTuple, int] = {}
-        for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != dimension:
-                raise DimensionMismatchError(
-                    f"exponent tuple {exps} has dimension {len(exps)}, expected {dimension}"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"exponents must be nonnegative, got {exps}")
-            total = clean.get(exps, 0) + coeff
-            if total:
-                clean[exps] = total
-            else:
-                clean.pop(exps, None)
-        self.dimension = dimension
-        self._coeffs = clean
-
-    def terms(self) -> list[tuple[ExponentTuple, int]]:
-        return sorted(self._coeffs.items())
+        self._validate(dimension, coeffs, _checked_exponents)
 
     def to_records(self) -> list[dict]:
         return [{"n": list(n), "c": c} for n, c in self.terms()]
 
     def eval(self, x: Iterable[int]) -> int:
-        x = tuple(x)
-        if len(x) != self.dimension:
-            raise DimensionMismatchError(
-                f"point {x} has dimension {len(x)}, expected {self.dimension}"
-            )
+        x = checked_tuple(x, self.dimension)
         total = 0
         for n, c in self._coeffs.items():
             value = c
@@ -273,19 +200,6 @@ class MonomialPolynomial:
     def total_degree(self) -> int | float:
         return max((sum(n) for n in self._coeffs), default=NEG_INFINITY)
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MonomialPolynomial)
-            and self.dimension == other.dimension
-            and self._coeffs == other._coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"MonomialPolynomial({self.dimension}, {dict(self.terms())})"
-
 
 def from_samples(func: IntegerFunction, degree_bound: int | float) -> Polyfract:
     """Reconstruct the unique polyfract of count <= degree_bound matching
@@ -296,15 +210,12 @@ def from_samples(func: IntegerFunction, degree_bound: int | float) -> Polyfract:
     caller vouches that ``func`` really is a polynomial function within
     the bound; nothing here can detect a lie outside the sampled box.
     """
-    dimension = func.dimension
-    if degree_bound < 0:
-        return Polyfract(dimension)
     coeffs = {}
-    for n in exponent_tuples(dimension, degree_bound):
+    for n in exponent_tuples(func.dimension, degree_bound):
         b = _difference_at_origin(func, n)
         if b:
             coeffs[n] = b
-    return Polyfract(dimension, coeffs)
+    return Polyfract._from_clean(func.dimension, coeffs)
 
 
 def _difference_at_origin(func: IntegerFunction, n: ExponentTuple) -> int:

@@ -1,28 +1,16 @@
-"""Deterministic generators shared by the test modules."""
+"""Deterministic polynomial generators shared by the test modules.
+
+The ring-side generators (random_point, random_element, unit_step,
+standard_word_element) live in deltacalc.identities.  random_polyfract
+here draws from a different distribution than the suites' own, and is
+kept apart so that neither seeded stream changes.
+"""
 
 from __future__ import annotations
 
 import random
 
-from deltacalc import GroupRingElement, Polyfract, delta, identity
-
-
-def random_point(rng: random.Random, dimension: int, bound: int) -> tuple[int, ...]:
-    return tuple(rng.randint(-bound, bound) for _ in range(dimension))
-
-
-def random_element(
-    rng: random.Random,
-    dimension: int,
-    max_terms: int = 6,
-    coord_bound: int = 4,
-    coeff_bound: int = 9,
-) -> GroupRingElement:
-    pairs = [
-        (random_point(rng, dimension, coord_bound), rng.randint(-coeff_bound, coeff_bound))
-        for _ in range(rng.randint(0, max_terms))
-    ]
-    return GroupRingElement(dimension, pairs)
+from deltacalc import Polyfract
 
 
 def random_polyfract(
@@ -48,17 +36,3 @@ def nonzero_polyfract(rng: random.Random, dimension: int, **kwargs) -> Polyfract
         poly = random_polyfract(rng, dimension, **kwargs)
         if poly:
             return poly
-
-
-def unit_step(dimension: int, k: int) -> tuple[int, ...]:
-    point = [0] * dimension
-    point[k - 1] = 1
-    return tuple(point)
-
-
-def standard_word_element(dimension: int, q) -> GroupRingElement:
-    """delta(e_1)^q_1 * ... * delta(e_N)^q_N as a ring element."""
-    out = identity(dimension)
-    for axis, mult in enumerate(q):
-        out = out * delta(unit_step(dimension, axis + 1)) ** mult
-    return out

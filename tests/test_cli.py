@@ -2,10 +2,14 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import deltacalc
 from deltacalc.cli import (
     ExpressionError,
     evaluate_expression,
@@ -301,3 +305,42 @@ def test_list_identities_table_and_json_agree():
 def test_missing_subcommand_is_a_usage_error():
     assert run_cli([])[0] == 2
     assert run_cli(["expand", "--word", "(1)"])[0] == 2  # --dim is required
+
+
+def test_expressions_may_start_with_a_minus():
+    cases = [
+        ["fdeg", "--dim", "1", "-5*x1^3"],
+        ["fdeg", "--dim", "2", "--json", "-x1*x2 + 3", "--box", "1"],
+        ["reconstruct", "-C(x1,2)", "--dim", "1"],
+        ["reconstruct", "--dim", "2", "--js", "-(x1 - x2)^2"],
+        ["apply", "--dim", "1", "--word", "(1);(-1)", "--at", "(2)", "-x1^3"],
+        ["apply", "-x1*x2", "--dim", "2", "--word", "(1,0)", "--window", "-1:1", "--json"],
+    ]
+    for argv in cases:
+        expression = next(a for a in argv if a.startswith("-") and "x" in a)
+        rest = [a for a in argv if a != expression]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(rest + ["--", expression])
+
+
+def test_option_values_may_start_with_a_minus():
+    code, out, _ = run_cli(["apply", "--dim", "1", "--word", "(1)", "--window", "-2:0", "-x1^2"])
+    assert code == 0
+    assert out.splitlines() == ["(-2): 3", "(-1): 1", "(0): -1"]
+    assert run_cli(["apply", "--window", "-2:0", "--dim", "1", "--word", "(1)", "--", "-x1^2"])[1] == out
+    code, _, err = run_cli(["fdeg", "--dim", "-1", "-x1"])
+    assert code == 2
+    assert err == "error: --dim must be at least 1, got -1\n"
+
+
+def test_module_entry_point_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(deltacalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["fdeg", "--dim", "1", "-5*x1^3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltacalc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv)
+    assert proc.stdout.startswith("fdeg: 3\n")

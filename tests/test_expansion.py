@@ -14,7 +14,7 @@ from deltacalc import (
     word_operator,
     zero,
 )
-from support import random_point, standard_word_element, unit_step
+from deltacalc.identities import random_point, standard_word_element, unit_step
 
 
 def recompose(dimension, coefficients_by_multiplicity):

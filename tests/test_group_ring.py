@@ -16,7 +16,8 @@ from deltacalc import (
     word_operator,
     zero,
 )
-from support import random_element, random_point, random_polyfract
+from deltacalc.identities import random_element, random_point
+from support import random_polyfract
 
 
 def test_zero_element_has_no_terms():

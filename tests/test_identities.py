@@ -13,7 +13,7 @@ from deltacalc import (
     delta,
     verify_identity,
 )
-from support import random_point
+from deltacalc.identities import random_point
 
 
 def test_order_zero_sum_is_the_value_itself():

@@ -17,7 +17,8 @@ from deltacalc import (
     from_monomial,
     from_samples,
 )
-from support import nonzero_polyfract, random_point, random_polyfract, standard_word_element
+from deltacalc.identities import random_point, standard_word_element
+from support import nonzero_polyfract, random_polyfract
 
 
 def test_binom_matches_comb_on_nonnegative_arguments():
