@@ -27,6 +27,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence, Union
 
 from .expansion import cyclic_factor, expand_single, expand_word_grouped, expand_word_sequence
@@ -677,7 +678,10 @@ def _cmd_list_identities(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared:
+    parsing reads it and never changes it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dim", type=int, default=None, help="lattice dimension N")
     common.add_argument("--json", action="store_true", help="emit deterministic JSON")

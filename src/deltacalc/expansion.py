@@ -10,14 +10,19 @@ grouped by the multiplicity vector q that counts how often every
 direction occurs.  Words whose letters all lie on one line Z*s
 collapse further, to a single shift-ring prefactor times a power of
 delta(s).
+
+The per-tuple expansion walks the index tuples depth first, so the
+product alpha_1[k_1] * ... * alpha_j[k_j] of a prefix is computed once
+for all the tuples that extend it, and a zero alpha cuts off its whole
+subtree.  The grouped expansion merges those tuples by q.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._sparse import prune
 from .group_ring import (
     DifferenceWord,
     GroupRingElement,
@@ -78,21 +83,44 @@ def expand_word_sequence(
 
     The result maps each tuple (k_1, ..., k_d) of 1-based direction
     indices to the shift-ring coefficient of the standard word
-    delta(e_k1) * ... * delta(e_kd); tuples with zero coefficient are
-    omitted.
+    delta(e_k1) * ... * delta(e_kd), in lexicographic tuple order;
+    tuples with zero coefficient are omitted.
     """
     letters = _validated_word(word)
     dimension = len(letters[0])
-    alphas = [expand_single(a) for a in letters]
+    # The shift ring is an integral domain, so a product is zero exactly
+    # when one of its factors is: dropping the zero alphas here prunes
+    # every zero product together with all the tuples that extend it.  A
+    # letter at the origin has no nonzero alpha and annihilates the word.
+    choices = [
+        [(k, alpha) for k, alpha in enumerate(expand_single(a), start=1) if alpha]
+        for a in letters
+    ]
     out: dict[tuple[int, ...], GroupRingElement] = {}
-    for indices in itertools.product(range(1, dimension + 1), repeat=len(letters)):
-        coeff = identity(dimension)
-        for position, k in enumerate(indices):
-            coeff = coeff * alphas[position][k - 1]
-            if not coeff:
-                break
-        if coeff:
-            out[indices] = coeff
+    if not all(choices):
+        return out
+    # Depth first over index tuples with an explicit stack: each prefix
+    # product is computed once and shared by every tuple extending it.
+    # Children are pushed in reverse, so tuples complete in lexicographic
+    # order.  The stack is explicit because a recursive closure forms a
+    # reference cycle, which keeps the result alive until the cyclic
+    # garbage collector runs.
+    length = len(letters)
+    shared = {}.setdefault
+    stack = [((k,), alpha) for k, alpha in reversed(choices[0])]
+    while stack:
+        prefix, coeff = stack.pop()
+        position = len(prefix)
+        if position == length:
+            # Rebuilt over one shared key tuple per lattice point, so the
+            # stored coefficients take about a third of the memory they
+            # take with a fresh tuple per key in each product.
+            out[prefix] = GroupRingElement._from_clean(
+                dimension, {shared(p, p): c for p, c in coeff._coeffs.items()}
+            )
+            continue
+        for k, alpha in reversed(choices[position]):
+            stack.append((prefix + (k,), coeff * alpha))
     return out
 
 
@@ -121,11 +149,22 @@ def expand_word_grouped(word: Iterable[Iterable[int]]) -> GroupedExpansion:
     equally often."""
     letters = _validated_word(word)
     dimension = len(letters[0])
-    grouped: dict[tuple[int, ...], GroupRingElement] = {}
-    for indices, coeff in expand_word_sequence(letters).items():
-        q = tuple(indices.count(m) for m in range(1, dimension + 1))
-        grouped[q] = grouped[q] + coeff if q in grouped else coeff
-    grouped = {q: coeff for q, coeff in grouped.items() if coeff}
+    directions = range(1, dimension + 1)
+    sequence = expand_word_sequence(letters)
+    # Popping frees each tuple's coefficient as soon as it is merged.
+    merged: dict[tuple[int, ...], dict[LatticePoint, int]] = {}
+    while sequence:
+        indices, coeff = sequence.popitem()
+        q = tuple(indices.count(m) for m in directions)
+        group = merged.setdefault(q, {})
+        get = group.get
+        for point, c in coeff._coeffs.items():
+            group[point] = get(point, 0) + c
+    grouped = {
+        q: GroupRingElement._from_clean(dimension, coeffs)
+        for q, coeffs in merged.items()
+        if prune(coeffs)
+    }
     return GroupedExpansion(dimension=dimension, word_length=len(letters), terms=grouped)
 
 

@@ -7,7 +7,9 @@ direct search (fdeg_standard_by_search) confirms it.  Allowing
 arbitrary nonzero step vectors changes nothing: fdeg_general produces
 a witness word of length count(P) made of steps from a finite box and
 then refutes longer words, exhaustively when the box allows it and by
-deterministic sampling otherwise.
+deterministic sampling otherwise.  The differences commute, so the
+refuted words are filed as sorted multisets in a trie and walked depth
+first: a shared prefix is differenced once for all the words below it.
 
 Degrees are integers, with NEG_INFINITY reserved for the zero
 polynomial; a nonzero constant has degree 0 and the empty word as its
@@ -20,6 +22,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from .group_ring import DifferenceWord, LatticePoint
 from .polyfract import NEG_INFINITY, Polyfract
@@ -106,13 +109,54 @@ def _witness_search(
     return None
 
 
-def _annihilates(poly: Polyfract, word: DifferenceWord) -> bool:
-    current = poly
-    for a in word:
-        current = current.delta_direction(a)
-        if not current:
-            return True
-    return not current
+def _refutation_words(
+    letters: list[LatticePoint], length: int, max_extra: int
+) -> tuple[list[DifferenceWord], bool]:
+    """The words of ``length`` to refute, and whether they are all of them.
+
+    Every multiset of letters when there are at most ``max_extra``, else
+    a deterministic sample of ``max_extra`` words.
+    """
+    if math.comb(len(letters) + length - 1, length) <= max_extra:
+        return list(itertools.combinations_with_replacement(letters, length)), True
+    rng = random.Random(_SAMPLING_SEED)
+    words = [tuple(rng.choice(letters) for _ in range(length)) for _ in range(max_extra)]
+    return words, False
+
+
+def _refute(poly: Polyfract, words: Iterable[DifferenceWord]) -> None:
+    """Raise RuntimeError naming the first of ``words`` that does not
+    annihilate ``poly``.
+
+    The difference operators commute, so each word is sorted into its
+    multiset and filed in a trie; a depth-first walk then takes one
+    difference per trie node, shared by every word through that node,
+    and a node whose difference is zero clears its whole subtree.
+    """
+    trie: dict = {}
+    for index, word in enumerate(words):
+        node = trie
+        for a in sorted(word):
+            node = node.setdefault(a, {})
+        # None marks the end of a word: it holds the first word so filed.
+        node.setdefault(None, (index, word))
+    survivors = []
+    stack = [(poly, trie)] if poly else []
+    while stack:
+        current, node = stack.pop()
+        for a, child in node.items():
+            if a is None:
+                survivors.append(child)
+                continue
+            reduced = current.delta_direction(a)
+            if reduced:
+                stack.append((reduced, child))
+    if survivors:
+        _, word = min(survivors)
+        raise RuntimeError(
+            f"word {word} of length {len(word)} does not annihilate the input; "
+            "this contradicts the degree theory"
+        )
 
 
 def fdeg_general(poly: Polyfract, direction_box: int, max_extra: int = 500) -> DegreeReport:
@@ -145,25 +189,8 @@ def fdeg_general(poly: Polyfract, direction_box: int, max_extra: int = 500) -> D
             )
 
     target_length = degree + 1
-    multisets = math.comb(len(letters) + target_length - 1, target_length)
-    if multisets <= max_extra:
-        words = itertools.combinations_with_replacement(letters, target_length)
-        exhaustive = True
-        checked = multisets
-    else:
-        rng = random.Random(_SAMPLING_SEED)
-        words = (
-            tuple(rng.choice(letters) for _ in range(target_length))
-            for _ in range(max_extra)
-        )
-        exhaustive = False
-        checked = max_extra
-    for word in words:
-        if not _annihilates(poly, word):
-            raise RuntimeError(
-                f"word {word} of length {target_length} does not annihilate the input; "
-                "this contradicts the degree theory"
-            )
+    words, exhaustive = _refutation_words(letters, target_length, max_extra)
+    _refute(poly, words)
 
     return DegreeReport(
         fdeg_standard=degree,
@@ -171,7 +198,7 @@ def fdeg_general(poly: Polyfract, direction_box: int, max_extra: int = 500) -> D
         witness_word=witness,
         annihilation_checked_to=target_length,
         exhaustive=exhaustive,
-        words_refuted=checked,
+        words_refuted=len(words),
     )
 
 

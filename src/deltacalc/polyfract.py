@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache
+from functools import lru_cache
 from operator import sub
 from typing import Iterable, Iterator, Mapping
 
@@ -35,7 +35,11 @@ ExponentTuple = tuple[int, ...]
 NEG_INFINITY = float("-inf")
 
 
-@cache
+# Both memo caches are bounded, at three to four times the
+# largest working sets measured: 269 binomials and 5,777 shifted bases
+# after the whole test suite, 187 and 5,121 over five identity sweeps,
+# 48 and 5,255 over 240 rounds of the degree benchmark.
+@lru_cache(maxsize=1024)
 def binom(x: int, k: int) -> int:
     """Exact C(x, k) for arbitrary integer x: zero when k < 0, else the
     falling factorial x(x-1)...(x-k+1) over k!."""
@@ -57,7 +61,7 @@ def exponent_tuples(dimension: int, max_norm: int | float) -> Iterator[ExponentT
             yield exps
 
 
-@cache
+@lru_cache(maxsize=16384)
 def _shifted_basis(n: ExponentTuple, a: LatticePoint) -> tuple[tuple[ExponentTuple, int], ...]:
     # The forward difference C(x + a, n) - C(x, n) re-expanded over the
     # basis.  Per axis, C(x + a, n) is the sum over j <= n of

@@ -1,16 +1,21 @@
-"""Deterministic polynomial generators shared by the test modules.
+"""Deterministic polynomial generators and slow reference routes shared
+by the test modules.
 
 The ring-side generators (random_point, random_element, unit_step,
 standard_word_element) live in deltacalc.identities.  random_polyfract
 here draws from a different distribution than the suites' own, and is
 kept apart so that neither seeded stream changes.
+
+The reference routes recompute what a faster library routine computes,
+one case at a time and with nothing shared between cases.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from deltacalc import Polyfract
+from deltacalc import Polyfract, expand_single, identity
 
 
 def random_polyfract(
@@ -36,3 +41,35 @@ def nonzero_polyfract(rng: random.Random, dimension: int, **kwargs) -> Polyfract
         poly = random_polyfract(rng, dimension, **kwargs)
         if poly:
             return poly
+
+
+def expand_word_sequence_by_tuple(word) -> dict:
+    """expand_word_sequence the direct way: every index tuple's product is
+    built up from the identity on its own."""
+    letters = tuple(tuple(a) for a in word)
+    dimension = len(letters[0])
+    alphas = [expand_single(a) for a in letters]
+    out = {}
+    for indices in itertools.product(range(1, dimension + 1), repeat=len(letters)):
+        coeff = identity(dimension)
+        for position, k in enumerate(indices):
+            coeff = coeff * alphas[position][k - 1]
+            if not coeff:
+                break
+        if coeff:
+            out[indices] = coeff
+    return out
+
+
+def first_surviving_word(poly: Polyfract, words):
+    """The first of ``words`` that does not annihilate ``poly``, each word
+    replayed from ``poly`` letter by letter; None when all of them do."""
+    for word in words:
+        current = poly
+        for a in word:
+            current = current.delta_direction(a)
+            if not current:
+                break
+        if current:
+            return word
+    return None

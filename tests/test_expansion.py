@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from deltacalc import (
     zero,
 )
 from deltacalc.identities import random_point, standard_word_element, unit_step
+from support import expand_word_sequence_by_tuple
 
 
 def recompose(dimension, coefficients_by_multiplicity):
@@ -71,6 +73,26 @@ def test_sequence_expansion_omits_zero_coefficients():
     assert all(expansion.values())
 
 
+def test_sequence_expansion_matches_the_per_tuple_route():
+    # Coordinates in [-2, 2]: negative and zero ones are common, and the
+    # fixed words put a zero letter and zero alphas at every position.
+    rng = random.Random(1618)
+    words = [
+        ((0, 0), (1, 1)),
+        ((1, 1), (0, 0)),
+        ((0, 2), (2, 0), (-1, 0), (0, -3)),
+        ((0, 1, 0), (1, 0, -1), (0, 0, 2)),
+    ]
+    for _ in range(40):
+        dimension = rng.randint(1, 3)
+        length = rng.randint(1, 7)
+        words.append(tuple(random_point(rng, dimension, 2) for _ in range(length)))
+    for word in words:
+        fast = expand_word_sequence(word)
+        slow = expand_word_sequence_by_tuple(word)
+        assert list(fast.items()) == list(slow.items()), word
+
+
 def test_sequence_expansion_reproduces_the_word_operator():
     rng = random.Random(2718)
     for _ in range(60):
@@ -120,6 +142,19 @@ def test_grouped_expansion_merges_the_sequence_form():
             merged[q] = merged.get(q, zero(dimension)) + coeff
         merged = {q: c for q, c in merged.items() if c}
         assert grouped.terms == merged
+
+
+def test_grouped_expansion_leaves_no_cyclic_garbage():
+    # Reference cycles would keep every tuple coefficient alive until the
+    # cyclic collector runs; the expansion must free them by refcount.
+    word = ((1, -2, 3), (2, 0, -1), (-3, 1, 2), (1, 1, -2), (0, 2, 1))
+    gc.collect()
+    gc.disable()
+    try:
+        assert expand_word_grouped(word).terms
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_words_containing_the_origin_collapse():

@@ -1,4 +1,6 @@
+import math
 import random
+import re
 
 import pytest
 
@@ -10,7 +12,8 @@ from deltacalc import (
     fdeg_standard_by_search,
     leading_term_check,
 )
-from support import nonzero_polyfract, random_polyfract
+from deltacalc.fdeg import _box_letters, _refutation_words, _refute
+from support import first_surviving_word, nonzero_polyfract, random_polyfract
 
 
 def test_standard_degree_is_the_count():
@@ -78,6 +81,51 @@ def test_sampling_kicks_in_beyond_the_budget():
     report = fdeg_general(poly, direction_box=2, max_extra=100)
     assert not report.exhaustive
     assert report.words_refuted == 100
+
+
+def _assert_refutation_matches_replay(poly, words):
+    survivor = first_surviving_word(poly, words)
+    if survivor is None:
+        _refute(poly, words)
+    else:
+        with pytest.raises(RuntimeError, match=re.escape(f"word {survivor} of length")):
+            _refute(poly, words)
+
+
+def test_trie_refutation_matches_word_replay():
+    rng = random.Random(4242)
+    kinds = set()
+    for _ in range(40):
+        dimension = rng.randint(1, 3)
+        poly = nonzero_polyfract(rng, dimension, max_count=3)
+        box = rng.randint(1, 2)
+        letters = _box_letters(dimension, box)
+        degree = int(poly.count())
+        max_extra = rng.choice((20, 300))
+        refuted, exhaustive = _refutation_words(letters, degree + 1, max_extra)
+        kinds.add(exhaustive)
+        _assert_refutation_matches_replay(poly, refuted)
+        # Words one letter short hold the witness or may miss it when
+        # sampled; mixed in, they put survivors at random places.
+        short, _ = _refutation_words(letters, degree, max_extra)
+        _assert_refutation_matches_replay(poly, short)
+        mixed = refuted + short
+        rng.shuffle(mixed)
+        _assert_refutation_matches_replay(poly, mixed)
+
+        report = fdeg_general(poly, direction_box=box, max_extra=max_extra)
+        multisets = math.comb(len(letters) + degree, degree + 1)
+        assert report.exhaustive == exhaustive == (multisets <= max_extra)
+        assert report.words_refuted == min(multisets, max_extra)
+    assert kinds == {True, False}
+
+
+def test_words_of_the_degree_length_do_not_all_annihilate():
+    poly = Polyfract(2, {(1, 1): 1, (1, 0): 3})
+    words, exhaustive = _refutation_words(_box_letters(2, 1), 2, max_extra=500)
+    assert exhaustive
+    with pytest.raises(RuntimeError, match=r"word \(\(-1, -1\), \(-1, -1\)\) of length 2"):
+        _refute(poly, words)
 
 
 def test_witness_search_is_deterministic():
