@@ -22,7 +22,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from operator import sub
+from typing import Iterable, Iterator
 
 from .group_ring import DifferenceWord, LatticePoint
 from .polyfract import NEG_INFINITY, Polyfract
@@ -75,10 +76,22 @@ def fdeg_standard_by_search(poly: Polyfract) -> int | float:
         return NEG_INFINITY
     top = int(poly.count()) + 1
     for norm in range(top, -1, -1):
-        for m in itertools.product(range(norm + 1), repeat=poly.dimension):
-            if sum(m) == norm and poly.delta_standard(m):
+        for m in _compositions(norm, poly.dimension):
+            if poly._delta_standard(m):
                 return norm
     raise AssertionError("a nonzero polynomial survives the empty difference")
+
+
+def _compositions(norm: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The tuples of ``parts`` nonnegative integers summing to ``norm``,
+    in lexicographic order.
+
+    Each tuple is read off its cut points 0 <= c_1 <= ... <= c_{parts-1}
+    <= norm as the gaps between consecutive cuts, from 0 up to norm;
+    the cuts come in lexicographic order, and so do their gap tuples.
+    """
+    for cuts in itertools.combinations_with_replacement(range(norm + 1), parts - 1):
+        yield tuple(map(sub, cuts + (norm,), (0,) + cuts))
 
 
 def _box_letters(dimension: int, box: int) -> list[LatticePoint]:

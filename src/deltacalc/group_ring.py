@@ -22,6 +22,12 @@ delta, word_operator and apply check every point they are given.
 Sums, negations and products of elements are computed from operands
 that are canonical already, so their results are trusted and built
 without a second check.
+
+Evaluation has the same boundary.  Calling an IntegerFunction checks
+its argument; apply checks ``x`` and the dimensions once, and then
+hands each shifted point x + c, a tuple of the right dimension by
+construction, to the function's trusted evaluator unchecked.  A
+tabulated function still refuses a point outside its window there.
 """
 
 from __future__ import annotations
@@ -143,9 +149,13 @@ def apply(element: GroupRingElement, func: Callable[[LatticePoint], int], x: Ite
         raise DimensionMismatchError(
             f"operator of dimension {element.dimension} applied to function of dimension {func_dimension}"
         )
+    evaluate = func
+    if isinstance(func, IntegerFunction):
+        # Every shifted point is a tuple of the checked dimension.
+        evaluate = func._evaluate if func.window is None else func._at
     total = 0
     for point, coeff in element._coeffs.items():
-        total += coeff * func(tuple(xi + ci for xi, ci in zip(x, point)))
+        total += coeff * evaluate(tuple(map(add, x, point)))
     return total
 
 
@@ -156,6 +166,9 @@ class IntegerFunction:
     evaluate anywhere.  The "tabulated" kind wraps a finite table over
     a cube window [lo, hi]^N and refuses to extrapolate: evaluation
     outside the window raises :class:`WindowError` instead of guessing.
+
+    ``evaluate`` is trusted: it is only ever given a tuple of the
+    function's dimension, inside the window when there is one.
     """
 
     __slots__ = ("dimension", "kind", "exact", "window", "_evaluate")
@@ -177,11 +190,11 @@ class IntegerFunction:
 
     @classmethod
     def from_polyfract(cls, poly) -> IntegerFunction:
-        return cls(poly.dimension, poly.eval, "polyfract")
+        return cls(poly.dimension, poly._eval, "polyfract")
 
     @classmethod
     def from_monomial(cls, poly) -> IntegerFunction:
-        return cls(poly.dimension, poly.eval, "monomial")
+        return cls(poly.dimension, poly._eval, "monomial")
 
     @classmethod
     def from_table(
@@ -216,10 +229,13 @@ class IntegerFunction:
         return cls.from_table({p: func(p) for p in points}, dimension, lo, hi)
 
     def __call__(self, x: Iterable[int]) -> int:
-        x = checked_tuple(x, self.dimension)
+        return self._at(checked_tuple(x, self.dimension))
+
+    def _at(self, x: LatticePoint) -> int:
+        # Trusted: x is a tuple of the function's dimension.
         if self.window is not None:
             lo, hi = self.window
-            if any(not lo <= xi <= hi for xi in x):
+            if min(x) < lo or max(x) > hi:
                 raise WindowError(
                     f"point {x} lies outside the window [{lo}, {hi}]^{self.dimension}"
                 )

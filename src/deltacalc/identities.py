@@ -19,6 +19,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .expansion import cyclic_factor, expand_word_grouped, expand_word_sequence
@@ -90,24 +91,32 @@ def alt_sum_multivariate(
     without it the weights are all 1 (that variant is wrong as soon as
     some n_l exceeds 1).  The right side is C(x_1, m_1 - n_1)...
     C(x_N, m_N - n_N), zero whenever some n_l > m_l.
+
+    Each axis's row of signed summands is memoised; the left side is
+    still summed over every tuple p <= n, one product per tuple.
     """
     m, n, x = tuple(m), tuple(n), tuple(x)
     if not len(m) == len(n) == len(x):
         raise ValueError(f"m, n and x must share a dimension, got {m}, {n}, {x}")
     if any(v < 0 for v in m) or any(v < 0 for v in n):
         raise ValueError(f"m and n must be nonnegative, got {m} and {n}")
-    per_axis = []
-    for ml, nl, xl in zip(m, n, x):
-        axis = []
-        for p in range(nl + 1):
-            weight = binom(nl, p) if corrected else 1
-            axis.append((-1) ** p * weight * binom(xl + nl - p, ml))
-        per_axis.append(axis)
-    lhs = 0
-    for factors in itertools.product(*per_axis):
-        lhs += math.prod(factors)
+    per_axis = [_alt_sum_row(ml, nl, xl, corrected) for ml, nl, xl in zip(m, n, x)]
+    lhs = sum(map(math.prod, itertools.product(*per_axis)))
     rhs = math.prod(binom(xl, ml - nl) for xl, ml, nl in zip(x, m, n))
     return lhs, rhs
+
+
+# m_l <= 4 and |x_l| <= 4, the ranges of the suites and of the
+# acceptance grid, make 135 distinct rows per weighting; the bound
+# leaves room for callers that draw from wider ranges.
+@lru_cache(maxsize=1024)
+def _alt_sum_row(ml: int, nl: int, xl: int, corrected: bool) -> tuple[int, ...]:
+    # One axis of the left side: the signed, optionally weighted values
+    # C(x_l + n_l - p, m_l) for p = 0 .. n_l.
+    return tuple(
+        (-1) ** p * (binom(nl, p) if corrected else 1) * binom(xl + nl - p, ml)
+        for p in range(nl + 1)
+    )
 
 
 def _mismatch(inputs: dict, lhs, rhs) -> dict:

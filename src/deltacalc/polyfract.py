@@ -17,6 +17,12 @@ every exponent tuple, and the methods check the vectors they are given.
 Results computed from a polynomial that is canonical already (sums,
 negations, multiples, shifts, differences, reconstructions) are
 trusted and built without a second check.
+
+Evaluation follows the same split: ``eval`` checks its point and calls
+the trusted ``_eval``, which IntegerFunction.from_polyfract and
+from_monomial wrap, so apply evaluates shifted points unchecked.
+Likewise ``delta_standard`` checks its multiplicities and calls the
+trusted ``_delta_standard``, which the standard-degree search uses.
 """
 
 from __future__ import annotations
@@ -106,15 +112,13 @@ class Polyfract(SparseMap):
         return [{"n": list(n), "b": b} for n, b in self.terms()]
 
     def eval(self, x: Iterable[int]) -> int:
-        x = checked_tuple(x, self.dimension)
+        return self._eval(checked_tuple(x, self.dimension))
+
+    def _eval(self, x: LatticePoint) -> int:
+        # Trusted: x is a tuple of the polynomial's dimension.
         total = 0
         for n, b in self._coeffs.items():
-            value = b
-            for xl, nl in zip(x, n):
-                value *= binom(xl, nl)
-                if not value:
-                    break
-            total += value
+            total += b * math.prod(map(binom, x, n))
         return total
 
     def count(self) -> int | float:
@@ -130,6 +134,10 @@ class Polyfract(SparseMap):
         m = checked_tuple(m, self.dimension, "multiplicity tuple")
         if any(ml < 0 for ml in m):
             raise ValueError(f"multiplicities must be nonnegative, got {m}")
+        return self._delta_standard(m)
+
+    def _delta_standard(self, m: ExponentTuple) -> Polyfract:
+        # Trusted: m is a nonnegative tuple of the polynomial's dimension.
         out = {}
         for n, b in self._coeffs.items():
             shifted = tuple(map(sub, n, m))
@@ -192,13 +200,13 @@ class MonomialPolynomial(SparseMap):
         return [{"n": list(n), "c": c} for n, c in self.terms()]
 
     def eval(self, x: Iterable[int]) -> int:
-        x = checked_tuple(x, self.dimension)
+        return self._eval(checked_tuple(x, self.dimension))
+
+    def _eval(self, x: LatticePoint) -> int:
+        # Trusted: x is a tuple of the polynomial's dimension.
         total = 0
         for n, c in self._coeffs.items():
-            value = c
-            for xl, nl in zip(x, n):
-                value *= xl**nl
-            total += value
+            total += c * math.prod(map(pow, x, n))
         return total
 
     def total_degree(self) -> int | float:

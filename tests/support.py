@@ -13,9 +13,10 @@ one case at a time and with nothing shared between cases.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
-from deltacalc import Polyfract, expand_single, identity
+from deltacalc import Polyfract, binom, expand_single, identity
 
 
 def random_polyfract(
@@ -73,3 +74,36 @@ def first_surviving_word(poly: Polyfract, words):
         if current:
             return word
     return None
+
+
+def apply_by_public_calls(element, func, x) -> int:
+    """apply the literal way: sum(c * func(x + p)) over the terms in
+    storage order (the order apply meets a point outside a window in),
+    every shifted point passed to func's public, checking call."""
+    x = tuple(x)
+    total = 0
+    for point, coeff in element._coeffs.items():
+        total += coeff * func(tuple(xi + ci for xi, ci in zip(x, point)))
+    return total
+
+
+def alt_sum_multivariate_by_rows(m, n, x, corrected=True) -> tuple[int, int]:
+    """alt_sum_multivariate with every per-axis row recomputed per call."""
+    per_axis = []
+    for ml, nl, xl in zip(m, n, x):
+        axis = []
+        for p in range(nl + 1):
+            weight = binom(nl, p) if corrected else 1
+            axis.append((-1) ** p * weight * binom(xl + nl - p, ml))
+        per_axis.append(axis)
+    lhs = 0
+    for factors in itertools.product(*per_axis):
+        lhs += math.prod(factors)
+    rhs = math.prod(binom(xl, ml - nl) for xl, ml, nl in zip(x, m, n))
+    return lhs, rhs
+
+
+def compositions_by_filter(norm: int, parts: int) -> list[tuple[int, ...]]:
+    """The tuples of ``parts`` entries in 0..norm that sum to norm, by
+    filtering the whole box."""
+    return [m for m in itertools.product(range(norm + 1), repeat=parts) if sum(m) == norm]

@@ -12,8 +12,13 @@ from deltacalc import (
     fdeg_standard_by_search,
     leading_term_check,
 )
-from deltacalc.fdeg import _box_letters, _refutation_words, _refute
-from support import first_surviving_word, nonzero_polyfract, random_polyfract
+from deltacalc.fdeg import _box_letters, _compositions, _refutation_words, _refute
+from support import (
+    compositions_by_filter,
+    first_surviving_word,
+    nonzero_polyfract,
+    random_polyfract,
+)
 
 
 def test_standard_degree_is_the_count():
@@ -161,3 +166,9 @@ def test_leading_term_check_on_random_inputs():
 def test_leading_term_check_rejects_zero():
     with pytest.raises(ValueError):
         leading_term_check(Polyfract(2))
+
+
+def test_compositions_match_the_filtered_box():
+    for norm in range(7):
+        for parts in (1, 2, 3):
+            assert list(_compositions(norm, parts)) == compositions_by_filter(norm, parts)

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import random
 
 import pytest
@@ -17,7 +19,7 @@ from deltacalc import (
     zero,
 )
 from deltacalc.identities import random_element, random_point
-from support import random_polyfract
+from support import apply_by_public_calls, random_polyfract
 
 
 def test_zero_element_has_no_terms():
@@ -186,3 +188,74 @@ def test_function_dimension_checked_on_call():
     f = IntegerFunction.from_polyfract(Polyfract(2, {(1, 1): 1}))
     with pytest.raises(DimensionMismatchError):
         f((1,))
+
+
+def _functions_of_every_kind(rng, dimension, lo, hi):
+    poly = random_polyfract(rng, dimension, max_count=4)
+    mono = MonomialPolynomial(
+        dimension,
+        [(tuple(rng.randint(0, 3) for _ in range(dimension)), rng.randint(-9, 9)) for _ in range(4)],
+    )
+    weights = [rng.randint(-3, 3) for _ in range(dimension)]
+    return [
+        IntegerFunction.from_polyfract(poly),
+        IntegerFunction.from_monomial(mono),
+        IntegerFunction.tabulate(poly.eval, dimension, lo, hi),
+        IntegerFunction.from_table(
+            {p: rng.randint(-9, 9) for p in itertools.product(range(lo, hi + 1), repeat=dimension)},
+            dimension,
+            lo,
+            hi,
+        ),
+        lambda p: sum(w * c**3 for w, c in zip(weights, p)) + 1,
+    ]
+
+
+def test_apply_matches_the_public_call_route():
+    rng = random.Random(2024)
+    for dimension in (1, 2, 3):
+        # Shifted points stay in [-6, 6]^N, inside every table's window.
+        functions = _functions_of_every_kind(rng, dimension, -6, 6)
+        for _ in range(40):
+            element = random_element(rng, dimension, max_terms=8, coord_bound=3)
+            x = random_point(rng, dimension, 3)
+            for func in functions:
+                assert apply(element, func, x) == apply_by_public_calls(element, func, x)
+
+
+def test_apply_outside_a_window_fails_like_the_public_call_route():
+    rng = random.Random(99)
+    escaped = inside = 0
+    for dimension in (1, 2, 3):
+        for func in _functions_of_every_kind(rng, dimension, -2, 2)[2:4]:
+            for _ in range(60):
+                element = random_element(rng, dimension, max_terms=5, coord_bound=2)
+                x = random_point(rng, dimension, 1)
+                try:
+                    want = apply_by_public_calls(element, func, x)
+                except WindowError as error:
+                    escaped += 1
+                    with pytest.raises(WindowError) as raised:
+                        apply(element, func, x)
+                    assert str(raised.value) == str(error)
+                else:
+                    inside += 1
+                    assert apply(element, func, x) == want
+    assert escaped > 50 and inside > 50
+
+
+def test_evaluation_leaves_no_cyclic_garbage():
+    # A function holding a bound method of itself would be a reference
+    # cycle, kept alive until the cyclic collector runs.
+    rng = random.Random(5)
+    operator = word_operator(((1, 0), (0, 1), (1, -1)))
+    gc.collect()
+    gc.disable()
+    try:
+        for func in _functions_of_every_kind(rng, 2, -4, 4)[:4]:
+            apply(operator, func, (0, 1))
+            func((1, 1))
+        del func
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from deltacalc import (
     verify_identity,
 )
 from deltacalc.identities import random_point
+from support import alt_sum_multivariate_by_rows
 
 
 def test_order_zero_sum_is_the_value_itself():
@@ -160,3 +162,17 @@ def test_all_registered_suites_run_clean_except_the_documented_failures():
         else:
             assert report.verdict == "pass", name
             assert not report.failures, name
+
+
+def test_alt_sum_rows_match_the_per_call_route():
+    # The criterion-10 grid in dimensions 1 and 2, both weightings.
+    axis_pairs = [(m, n) for m in range(5) for n in range(m + 1)]
+    for dimension in (1, 2):
+        for pairs in itertools.product(axis_pairs, repeat=dimension):
+            m = tuple(pair[0] for pair in pairs)
+            n = tuple(pair[1] for pair in pairs)
+            for x in itertools.product(range(-4, 5), repeat=dimension):
+                for corrected in (True, False):
+                    assert alt_sum_multivariate(m, n, x, corrected) == (
+                        alt_sum_multivariate_by_rows(m, n, x, corrected)
+                    )
