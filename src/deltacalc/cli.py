@@ -15,8 +15,9 @@ atoms C(xi, k) with a nonnegative literal k.  Difference words are
 semicolon-separated coordinate tuples such as "(1,0);(2,1)".
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on
-usage or parse errors.  All numbers are exact decimal integers; --json
-emits a deterministic machine-readable form.
+usage or parse errors and on out-of-range values.  All numbers are
+exact decimal integers; --json emits a deterministic machine-readable
+form.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable, Sequence, Union
 from .expansion import cyclic_factor, expand_single, expand_word_grouped, expand_word_sequence
 from .fdeg import fdeg_general
 from .group_ring import IntegerFunction, LatticePoint, apply, word_operator
-from .identities import UnknownIdentityError, available_identities, verify_identity
+from .identities import available_identities, verify_identity
 from .polyfract import NEG_INFINITY, Polyfract, from_samples
 
 
@@ -329,51 +330,6 @@ def expression_degree(node: Expression) -> int:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-_PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Neg: 3, Pow: 4}
-
-
-def _precedence(node: Expression) -> int:
-    return _PRECEDENCE.get(type(node), 5)
-
-
-def format_expression(node: Expression) -> str:
-    """Canonical text whose parse returns the same tree."""
-    if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, BinomAtom):
-        return f"C(x{node.index},{node.k})"
-    if isinstance(node, Neg):
-        inner = format_expression(node.operand)
-        if _precedence(node.operand) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, (Add, Sub)):
-        left = format_expression(node.left)
-        right = format_expression(node.right)
-        if _precedence(node.left) < 1:
-            left = f"({left})"
-        if _precedence(node.right) <= 1:
-            right = f"({right})"
-        op = "+" if isinstance(node, Add) else "-"
-        return f"{left} {op} {right}"
-    if isinstance(node, Mul):
-        left = format_expression(node.left)
-        right = format_expression(node.right)
-        if _precedence(node.left) < 2:
-            left = f"({left})"
-        if _precedence(node.right) <= 2:
-            right = f"({right})"
-        return f"{left}*{right}"
-    if isinstance(node, Pow):
-        base = format_expression(node.base)
-        if _precedence(node.base) < 5 and not isinstance(node.base, Pow):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def lower(node: Expression, dimension: int) -> Polyfract:
     """The canonical binomial-basis form of the expression, obtained by
     sampling it on [0, degree_bound]^N and rebuilding via differences."""
@@ -436,10 +392,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
                 f"--multipliers {args.multipliers!r} must be comma-separated integers"
             ) from None
         step = _parse_point_text(args.step, dimension, what="step")
-        try:
-            factor = cyclic_factor(multipliers, step)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        factor = cyclic_factor(multipliers, step)
         if args.json:
             _emit_json(
                 {
@@ -780,7 +733,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _HANDLERS[args.command](args)
-    except (UsageError, ExpressionError, UnknownIdentityError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,14 @@ ids ending in ``_printed`` and ``_uncorrected`` pin down formula
 variants that do not hold, each with at least one concrete
 counterexample, so the need for the corrected forms stays visible.
 
+Sixteen suites are per-instance checks run by ``_per_instance``: for each
+trial it draws the dimension from 1..3 as the instance's first random
+call, and records every ``(inputs, lhs, rhs)`` the check yields with
+the instance index as the first input.  ``thm_5_1`` and ``thm_7_1``
+enumerate their instances, and ``thm_5_1_printed`` and
+``thm_7_3_uncorrected`` start from a pinned counterexample; none of
+the four tags instances, so they keep their own loops.
+
 Reports serialize deterministically: the same identity, trials and
 seed always produce byte-identical JSON.
 """
@@ -35,7 +43,7 @@ from .group_ring import (
     word_operator,
     zero,
 )
-from .polyfract import MonomialPolynomial, Polyfract, binom
+from .polyfract import MonomialPolynomial, Polyfract, binom, from_samples
 
 
 class UnknownIdentityError(ValueError):
@@ -150,7 +158,7 @@ def random_element(
 def _random_term(
     rng: random.Random, dimension: int, coord_bound: int = 4, coeff_bound: int = 9
 ) -> GroupRingElement:
-    coeff = rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c])
+    coeff = _nonzero_coeff(rng, coeff_bound)
     return GroupRingElement(dimension, {random_point(rng, dimension, coord_bound): coeff})
 
 
@@ -213,163 +221,132 @@ def standard_word_element(dimension: int, q: Iterable[int]) -> GroupRingElement:
     return out
 
 
-def _check_ring_laws(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        t = random_element(rng, dimension)
-        u = random_element(rng, dimension)
-        v = random_element(rng, dimension)
-        cases = [
-            ("t*u == u*t", t * u, u * t),
-            ("(t*u)*v == t*(u*v)", (t * u) * v, t * (u * v)),
-            ("t*(u+v) == t*u + t*v", t * (u + v), t * u + t * v),
-        ]
-        for law, lhs, rhs in cases:
-            if lhs != rhs:
-                inputs = {"instance": index, "law": law, "t": str(t), "u": str(u), "v": str(v)}
-                failures.append(_mismatch(inputs, lhs, rhs))
-    return trials, failures
+def _per_instance(check: Callable) -> Callable:
+    """The suite that runs ``check(rng, dimension)`` once per trial."""
+
+    def run(rng: random.Random, trials: int):
+        failures = []
+        for index in range(trials):
+            dimension = rng.randint(1, 3)
+            for inputs, lhs, rhs in check(rng, dimension):
+                failures.append(_mismatch({"instance": index, **inputs}, lhs, rhs))
+        return trials, failures
+
+    return run
 
 
-def _check_negated_step(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        s = _random_nonzero_point(rng, dimension, 4)
-        minus = tuple(-c for c in s)
-        lhs = delta(minus)
-        rhs = -1 * (shift(minus) * delta(s))
+@_per_instance
+def _check_ring_laws(rng: random.Random, dimension: int):
+    t = random_element(rng, dimension)
+    u = random_element(rng, dimension)
+    v = random_element(rng, dimension)
+    cases = [
+        ("t*u == u*t", t * u, u * t),
+        ("(t*u)*v == t*(u*v)", (t * u) * v, t * (u * v)),
+        ("t*(u+v) == t*u + t*v", t * (u + v), t * u + t * v),
+    ]
+    for law, lhs, rhs in cases:
         if lhs != rhs:
-            failures.append(_mismatch({"instance": index, "s": list(s)}, lhs, rhs))
-    return trials, failures
+            yield {"law": law, "t": str(t), "u": str(u), "v": str(v)}, lhs, rhs
 
 
-def _check_step_splitting(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        s1 = random_point(rng, dimension, 4)
-        s2 = random_point(rng, dimension, 4)
-        lhs = delta(tuple(a + b for a, b in zip(s1, s2)))
-        rhs = shift(s1) * delta(s2) + delta(s1)
+@_per_instance
+def _check_negated_step(rng: random.Random, dimension: int):
+    s = _random_nonzero_point(rng, dimension, 4)
+    minus = tuple(-c for c in s)
+    lhs = delta(minus)
+    rhs = -1 * (shift(minus) * delta(s))
+    if lhs != rhs:
+        yield {"s": list(s)}, lhs, rhs
+
+
+@_per_instance
+def _check_step_splitting(rng: random.Random, dimension: int):
+    s1 = random_point(rng, dimension, 4)
+    s2 = random_point(rng, dimension, 4)
+    lhs = delta(tuple(a + b for a, b in zip(s1, s2)))
+    rhs = shift(s1) * delta(s2) + delta(s1)
+    if lhs != rhs:
+        yield {"s1": list(s1), "s2": list(s2)}, lhs, rhs
+
+
+@_per_instance
+def _check_shift_power(rng: random.Random, dimension: int):
+    s = random_point(rng, dimension, 4)
+    k = rng.randint(0, 6)
+    lhs = shift(s) ** k
+    rhs = shift(tuple(k * c for c in s))
+    if lhs != rhs:
+        yield {"s": list(s), "k": k}, lhs, rhs
+
+
+@_per_instance
+def _check_shift_additivity(rng: random.Random, dimension: int):
+    a = random_point(rng, dimension, 4)
+    b = random_point(rng, dimension, 4)
+    lhs = shift(a) * shift(b)
+    rhs = shift(tuple(ai + bi for ai, bi in zip(a, b)))
+    if lhs != rhs:
+        yield {"a": list(a), "b": list(b)}, lhs, rhs
+
+
+@_per_instance
+def _check_commutation(rng: random.Random, dimension: int):
+    a = random_point(rng, dimension, 4)
+    b = random_point(rng, dimension, 4)
+    cases = [
+        ("[a][b] == [b][a]", shift(a) * shift(b), shift(b) * shift(a)),
+        ("d(a)d(b) == d(b)d(a)", delta(a) * delta(b), delta(b) * delta(a)),
+        ("[a]d(b) == d(b)[a]", shift(a) * delta(b), delta(b) * shift(a)),
+    ]
+    for law, lhs, rhs in cases:
         if lhs != rhs:
-            inputs = {"instance": index, "s1": list(s1), "s2": list(s2)}
-            failures.append(_mismatch(inputs, lhs, rhs))
-    return trials, failures
+            yield {"law": law, "a": list(a), "b": list(b)}, lhs, rhs
 
 
-def _check_shift_power(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        s = random_point(rng, dimension, 4)
-        k = rng.randint(0, 6)
-        lhs = shift(s) ** k
-        rhs = shift(tuple(k * c for c in s))
-        if lhs != rhs:
-            failures.append(_mismatch({"instance": index, "s": list(s), "k": k}, lhs, rhs))
-    return trials, failures
+@_per_instance
+def _check_product_expansion(rng: random.Random, dimension: int):
+    factors = [
+        [_random_term(rng, dimension) for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(1, 4))
+    ]
+    lhs = math.prod((sum(terms, zero(dimension)) for terms in factors), start=identity(dimension))
+    rhs = sum(
+        (math.prod(combo, start=identity(dimension)) for combo in itertools.product(*factors)),
+        zero(dimension),
+    )
+    if lhs != rhs:
+        yield {"factors": [[str(t) for t in terms] for terms in factors]}, lhs, rhs
 
 
-def _check_shift_additivity(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        a = random_point(rng, dimension, 4)
-        b = random_point(rng, dimension, 4)
-        lhs = shift(a) * shift(b)
-        rhs = shift(tuple(ai + bi for ai, bi in zip(a, b)))
-        if lhs != rhs:
-            inputs = {"instance": index, "a": list(a), "b": list(b)}
-            failures.append(_mismatch(inputs, lhs, rhs))
-    return trials, failures
+@_per_instance
+def _check_sequence_expansion(rng: random.Random, dimension: int):
+    word = _random_word(rng, dimension)
+    lhs = word_operator(word)
+    rhs = zero(dimension)
+    for indices, coeff in expand_word_sequence(word).items():
+        rhs = rhs + coeff * standard_word_element(
+            dimension, [indices.count(m) for m in range(1, dimension + 1)]
+        )
+    if lhs != rhs:
+        yield {"word": [list(a) for a in word]}, lhs, rhs
 
 
-def _check_commutation(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        a = random_point(rng, dimension, 4)
-        b = random_point(rng, dimension, 4)
-        cases = [
-            ("[a][b] == [b][a]", shift(a) * shift(b), shift(b) * shift(a)),
-            ("d(a)d(b) == d(b)d(a)", delta(a) * delta(b), delta(b) * delta(a)),
-            ("[a]d(b) == d(b)[a]", shift(a) * delta(b), delta(b) * shift(a)),
-        ]
-        for law, lhs, rhs in cases:
-            if lhs != rhs:
-                inputs = {"instance": index, "law": law, "a": list(a), "b": list(b)}
-                failures.append(_mismatch(inputs, lhs, rhs))
-    return trials, failures
-
-
-def _check_product_expansion(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        factors = [
-            [_random_term(rng, dimension) for _ in range(rng.randint(1, 4))]
-            for _ in range(rng.randint(1, 4))
-        ]
-        lhs = identity(dimension)
-        for terms in factors:
-            total = zero(dimension)
-            for term in terms:
-                total = total + term
-            lhs = lhs * total
-        rhs = zero(dimension)
-        for combo in itertools.product(*factors):
-            product = identity(dimension)
-            for term in combo:
-                product = product * term
-            rhs = rhs + product
-        if lhs != rhs:
-            inputs = {
-                "instance": index,
-                "factors": [[str(t) for t in terms] for terms in factors],
-            }
-            failures.append(_mismatch(inputs, lhs, rhs))
-    return trials, failures
-
-
-def _check_sequence_expansion(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        word = _random_word(rng, dimension)
-        lhs = word_operator(word)
-        rhs = zero(dimension)
-        for indices, coeff in expand_word_sequence(word).items():
-            rhs = rhs + coeff * standard_word_element(
-                dimension, [indices.count(m) for m in range(1, dimension + 1)]
-            )
-        if lhs != rhs:
-            inputs = {"instance": index, "word": [list(a) for a in word]}
-            failures.append(_mismatch(inputs, lhs, rhs))
-    return trials, failures
-
-
-def _check_grouped_expansion(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        word = _random_word(rng, dimension)
-        grouped = expand_word_grouped(word)
-        inputs = {"instance": index, "word": [list(a) for a in word]}
-        bad_norm = [q for q in grouped.terms if sum(q) != len(word)]
-        if bad_norm:
-            failures.append(
-                _mismatch(inputs, f"multiplicity norms {sorted(bad_norm)}", len(word))
-            )
-            continue
-        lhs = word_operator(word)
-        rhs = zero(dimension)
-        for q, coeff in grouped.terms.items():
-            rhs = rhs + coeff * standard_word_element(dimension, q)
-        if lhs != rhs:
-            failures.append(_mismatch(inputs, lhs, rhs))
-    return trials, failures
+@_per_instance
+def _check_grouped_expansion(rng: random.Random, dimension: int):
+    word = _random_word(rng, dimension)
+    grouped = expand_word_grouped(word)
+    inputs = {"word": [list(a) for a in word]}
+    bad_norm = [q for q in grouped.terms if sum(q) != len(word)]
+    if bad_norm:
+        yield inputs, f"multiplicity norms {sorted(bad_norm)}", len(word)
+        return
+    lhs = word_operator(word)
+    rhs = zero(dimension)
+    for q, coeff in grouped.terms.items():
+        rhs = rhs + coeff * standard_word_element(dimension, q)
+    if lhs != rhs:
+        yield inputs, lhs, rhs
 
 
 def _check_cyclic_factorization(rng: random.Random, trials: int):
@@ -419,149 +396,109 @@ def _check_cyclic_factorization_printed(rng: random.Random, trials: int):
     return 1, failures
 
 
-def _check_basis_differentiation(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        exp_cap, mult_cap = (5, 5) if dimension < 3 else (4, 2)
-        n = tuple(rng.randint(0, exp_cap) for _ in range(dimension))
-        poly = Polyfract(dimension, {n: _nonzero_coeff(rng)})
-        m = tuple(rng.randint(0, mult_cap) for _ in range(dimension))
-        expected = poly.delta_standard(m)
-        operator = standard_word_element(dimension, m)
-        func = IntegerFunction.from_polyfract(poly)
-        for x in itertools.product(range(-6, 7), repeat=dimension):
-            got = apply(operator, func, x)
-            want = expected.eval(x)
-            if got != want:
-                inputs = {
-                    "instance": index,
-                    "polyfract": str(poly),
-                    "m": list(m),
-                    "x": list(x),
-                }
-                failures.append(_mismatch(inputs, got, want))
-                break
-    return trials, failures
+@_per_instance
+def _check_basis_differentiation(rng: random.Random, dimension: int):
+    exp_cap, mult_cap = (5, 5) if dimension < 3 else (4, 2)
+    n = tuple(rng.randint(0, exp_cap) for _ in range(dimension))
+    poly = Polyfract(dimension, {n: _nonzero_coeff(rng)})
+    m = tuple(rng.randint(0, mult_cap) for _ in range(dimension))
+    expected = poly.delta_standard(m)
+    operator = standard_word_element(dimension, m)
+    func = IntegerFunction.from_polyfract(poly)
+    for x in itertools.product(range(-6, 7), repeat=dimension):
+        got = apply(operator, func, x)
+        want = expected.eval(x)
+        if got != want:
+            yield {"polyfract": str(poly), "m": list(m), "x": list(x)}, got, want
+            return
 
 
-def _check_reconstruction(rng: random.Random, trials: int):
-    from .polyfract import from_samples
-
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        poly = _random_polyfract(rng, dimension)
-        rebuilt = from_samples(IntegerFunction.from_polyfract(poly), poly.count())
-        if rebuilt != poly:
-            inputs = {"instance": index, "polyfract": str(poly)}
-            failures.append(_mismatch(inputs, rebuilt, poly))
-    return trials, failures
+@_per_instance
+def _check_reconstruction(rng: random.Random, dimension: int):
+    poly = _random_polyfract(rng, dimension)
+    rebuilt = from_samples(IntegerFunction.from_polyfract(poly), poly.count())
+    if rebuilt != poly:
+        yield {"polyfract": str(poly)}, rebuilt, poly
 
 
-def _check_leading_term(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        poly = _random_polyfract(rng, dimension, force_tie=rng.random() < 0.5)
-        if not leading_term_check(poly):
-            inputs = {"instance": index, "polyfract": str(poly)}
-            failures.append(_mismatch(inputs, "per-term degree differs", poly.count()))
-    return trials, failures
+@_per_instance
+def _check_leading_term(rng: random.Random, dimension: int):
+    poly = _random_polyfract(rng, dimension, force_tie=rng.random() < 0.5)
+    if not leading_term_check(poly):
+        yield {"polyfract": str(poly)}, "per-term degree differs", poly.count()
 
 
-def _check_degree_equals_count(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        poly = _random_polyfract(rng, dimension)
-        searched = fdeg_standard_by_search(poly)
-        if searched != poly.count():
-            inputs = {"instance": index, "polyfract": str(poly)}
-            failures.append(_mismatch(inputs, searched, poly.count()))
-    return trials, failures
+@_per_instance
+def _check_degree_equals_count(rng: random.Random, dimension: int):
+    poly = _random_polyfract(rng, dimension)
+    searched = fdeg_standard_by_search(poly)
+    if searched != poly.count():
+        yield {"polyfract": str(poly)}, searched, poly.count()
 
 
-def _check_arbitrary_directions(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        poly = _random_polyfract(rng, dimension)
-        report = fdeg_general(poly, direction_box=2, max_extra=500)
-        reduced = poly
-        for a in report.witness_word:
-            reduced = reduced.delta_direction(a)
-        ok = (
-            bool(reduced)
-            and report.fdeg_general_lower == poly.count()
-            and report.fdeg_standard == poly.count()
-            and report.annihilation_checked_to == poly.count() + 1
-        )
-        if not ok:
-            inputs = {
-                "instance": index,
-                "polyfract": str(poly),
-                "witness": [list(a) for a in report.witness_word],
-            }
-            failures.append(_mismatch(inputs, report.fdeg_general_lower, poly.count()))
-    return trials, failures
+@_per_instance
+def _check_arbitrary_directions(rng: random.Random, dimension: int):
+    poly = _random_polyfract(rng, dimension)
+    report = fdeg_general(poly, direction_box=2, max_extra=500)
+    reduced = poly
+    for a in report.witness_word:
+        reduced = reduced.delta_direction(a)
+    ok = (
+        bool(reduced)
+        and report.fdeg_general_lower == poly.count()
+        and report.fdeg_standard == poly.count()
+        and report.annihilation_checked_to == poly.count() + 1
+    )
+    if not ok:
+        witness = [list(a) for a in report.witness_word]
+        yield {"polyfract": str(poly), "witness": witness}, report.fdeg_general_lower, poly.count()
 
 
 def _check_upper_negation(rng: random.Random, trials: int):
     # Exhaustive over 0 <= n, k <= 10; the right side comes from
     # math.comb, outside this package.
+    instances = list(itertools.product(range(11), repeat=2))
     failures = []
-    checked = 0
-    for n in range(11):
-        for k in range(11):
-            checked += 1
-            lhs = binom(-n, k)
-            rhs = 1 if k == 0 else (-1) ** k * math.comb(n + k - 1, k)
-            if lhs != rhs:
-                failures.append(_mismatch({"n": n, "k": k}, lhs, rhs))
-    return checked, failures
+    for n, k in instances:
+        lhs = binom(-n, k)
+        rhs = 1 if k == 0 else (-1) ** k * math.comb(n + k - 1, k)
+        if lhs != rhs:
+            failures.append(_mismatch({"n": n, "k": k}, lhs, rhs))
+    return len(instances), failures
 
 
-def _check_alternating_sum(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        step_bound, max_order = (3, 5) if dimension < 3 else (2, 3)
-        a = random_point(rng, dimension, step_bound)
-        n = rng.randint(0, max_order)
-        x = random_point(rng, dimension, 2)
-        touched = [xl for xl in x] + [xl + n * al for xl, al in zip(x, a)]
-        lo, hi = min(touched) - 4, max(touched) + 4
-        table = {
-            p: rng.randint(-9, 9)
-            for p in itertools.product(range(lo, hi + 1), repeat=dimension)
-        }
-        func = IntegerFunction.from_table(table, dimension, lo, hi)
-        direct = alt_sum_univariate(func, a, n, x)
-        operator = apply(delta(a) ** n, func, x)
-        symmetric = sum(
-            (-1) ** (n - i) * binom(n, i) * func(tuple(xl + i * al for xl, al in zip(x, a)))
-            for i in range(n + 1)
-        )
-        if not direct == operator == symmetric:
-            inputs = {"instance": index, "a": list(a), "n": n, "x": list(x)}
-            failures.append(_mismatch(inputs, direct, (operator, symmetric)))
-    return trials, failures
+@_per_instance
+def _check_alternating_sum(rng: random.Random, dimension: int):
+    step_bound, max_order = (3, 5) if dimension < 3 else (2, 3)
+    a = random_point(rng, dimension, step_bound)
+    n = rng.randint(0, max_order)
+    x = random_point(rng, dimension, 2)
+    touched = [xl for xl in x] + [xl + n * al for xl, al in zip(x, a)]
+    lo, hi = min(touched) - 4, max(touched) + 4
+    table = {
+        p: rng.randint(-9, 9)
+        for p in itertools.product(range(lo, hi + 1), repeat=dimension)
+    }
+    func = IntegerFunction.from_table(table, dimension, lo, hi)
+    direct = alt_sum_univariate(func, a, n, x)
+    operator = apply(delta(a) ** n, func, x)
+    symmetric = sum(
+        (-1) ** (n - i) * binom(n, i) * func(tuple(xl + i * al for xl, al in zip(x, a)))
+        for i in range(n + 1)
+    )
+    if not direct == operator == symmetric:
+        yield {"a": list(a), "n": n, "x": list(x)}, direct, (operator, symmetric)
 
 
-def _check_alternating_sum_multi(rng: random.Random, trials: int):
-    failures = []
-    for index in range(trials):
-        dimension = rng.randint(1, 3)
-        m = tuple(rng.randint(0, 4) for _ in range(dimension))
-        n = tuple(rng.randint(0, ml) for ml in m)
-        x = random_point(rng, dimension, 4)
-        lhs, rhs = alt_sum_multivariate(m, n, x, corrected=True)
-        direct = Polyfract(dimension, {m: 1}).delta_standard(n).eval(x)
-        if not lhs == rhs == direct:
-            inputs = {"instance": index, "m": list(m), "n": list(n), "x": list(x)}
-            failures.append(_mismatch(inputs, lhs, (rhs, direct)))
-    return trials, failures
+@_per_instance
+def _check_alternating_sum_multi(rng: random.Random, dimension: int):
+    m = tuple(rng.randint(0, 4) for _ in range(dimension))
+    n = tuple(rng.randint(0, ml) for ml in m)
+    x = random_point(rng, dimension, 4)
+    lhs, rhs = alt_sum_multivariate(m, n, x, corrected=True)
+    direct = Polyfract(dimension, {m: 1}).delta_standard(n).eval(x)
+    if not lhs == rhs == direct:
+        yield {"m": list(m), "n": list(n), "x": list(x)}, lhs, (rhs, direct)
 
 
 def _check_alternating_sum_multi_unweighted(rng: random.Random, trials: int):

@@ -14,7 +14,6 @@ from deltacalc.cli import (
     ExpressionError,
     evaluate_expression,
     expression_degree,
-    format_expression,
     lower,
     parse,
     run,
@@ -77,16 +76,6 @@ def test_parser_agrees_with_a_plain_evaluator():
         for _ in range(4):
             x = tuple(rng.randint(3, 8) for _ in range(dimension))
             assert evaluate_expression(node, x) == reference(x)
-
-
-def test_formatting_round_trips_through_the_parser():
-    rng = random.Random(405)
-    for _ in range(200):
-        dimension = rng.randint(1, 3)
-        source, _ = _random_source(rng, dimension, rng.randint(0, 3))
-        node = parse(source, dimension)
-        printed = format_expression(node)
-        assert parse(printed, dimension) == node
 
 
 def test_lowering_agrees_with_direct_evaluation():
@@ -280,6 +269,24 @@ def test_verify_exit_codes():
     code, _, err = run_cli(["verify", "thm_0_0"])
     assert code == 2
     assert err.startswith("error: unknown identity 'thm_0_0'")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "thm_3_2", "--trials", "0"], "trials must be at least 1, got 0"),
+        (["fdeg", "--dim", "1", "--box", "0", "x1"], "the direction box must be at least 1, got 0"),
+        (["fdeg", "--dim", "1", "--budget", "0", "x1"], "the refutation budget must be at least 1, got 0"),
+        (
+            ["expand", "--dim", "1", "--mode", "cyclic", "--multipliers", "2,-1", "--step", "(1)"],
+            "multipliers must be positive, got -1",
+        ),
+    ],
+    ids=["verify-trials", "fdeg-box", "fdeg-budget", "expand-multipliers"],
+)
+def test_out_of_range_numbers_exit_with_usage_code(argv, message):
+    # Exit 1 would read as a failed verification.
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
 
 
 def test_verify_json_is_byte_stable_across_runs():

@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from deltacalc import (
+    GroupRingElement,
     IntegerFunction,
     Polyfract,
     UnknownIdentityError,
@@ -12,6 +16,7 @@ from deltacalc import (
     apply,
     available_identities,
     delta,
+    identities,
     verify_identity,
 )
 from deltacalc.identities import random_point
@@ -176,3 +181,62 @@ def test_alt_sum_rows_match_the_per_call_route():
                     assert alt_sum_multivariate(m, n, x, corrected) == (
                         alt_sum_multivariate_by_rows(m, n, x, corrected)
                     )
+
+
+def test_every_suite_report_is_pinned():
+    # The JSON of all 20 reports at seeds 0 and 7 and trials 1 and 5, in
+    # registry order: any change to an instance count, a verdict or a
+    # failure record moves this digest.  A passing report records no
+    # inputs, so its seeded stream is pinned by the fault test below.
+    digest = hashlib.sha256()
+    for seed in (0, 7):
+        for trials in (1, 5):
+            for name, _ in available_identities():
+                digest.update(verify_identity(name, trials, seed).to_json().encode())
+    assert digest.hexdigest() == "892e4a13246d1dfe44dcdffe85ea00917bf6e59553d01341617d3b7bd880a869"
+
+
+def test_injected_faults_are_recorded_per_instance(monkeypatch):
+    def plus_one(poly):
+        return poly + Polyfract(poly.dimension, {(0,) * poly.dimension: 1})
+
+    # Ring equality fails every ring_laws, thm_3_* and thm_4_* comparison;
+    # the grouped expansion also breaks its norms, where thm_4_1 stops.
+    monkeypatch.setattr(GroupRingElement, "__eq__", lambda self, other: False)
+    monkeypatch.setattr(
+        identities,
+        "expand_word_grouped",
+        lambda word: SimpleNamespace(terms={(len(word) + 1,) + (0,) * (len(word[0]) - 1): 1}),
+    )
+    # Every point of thm_6_4 is wrong, and it stops at the first.
+    delta_standard = Polyfract.delta_standard
+    monkeypatch.setattr(Polyfract, "delta_standard", lambda self, m: plus_one(delta_standard(self, m)))
+    from_samples = identities.from_samples
+    monkeypatch.setattr(identities, "from_samples", lambda f, count: plus_one(from_samples(f, count)))
+    monkeypatch.setattr(identities, "leading_term_check", lambda poly: False)
+    monkeypatch.setattr(identities, "fdeg_standard_by_search", lambda poly: -1)
+    fdeg_general = identities.fdeg_general
+    monkeypatch.setattr(
+        identities,
+        "fdeg_general",
+        lambda poly, **kw: dataclasses.replace(fdeg_general(poly, **kw), fdeg_general_lower=-1),
+    )
+    monkeypatch.setattr(identities, "alt_sum_univariate", lambda *args: None)
+    monkeypatch.setattr(identities, "alt_sum_multivariate", lambda *args, **kwargs: (-1, -2))
+
+    own_loops = {"thm_5_1", "thm_5_1_printed", "thm_7_1", "thm_7_3_uncorrected"}
+    digest = hashlib.sha256()
+    for name, _ in available_identities():
+        if name in own_loops:
+            continue
+        report = verify_identity(name, 5, 3)
+        digest.update(report.to_json().encode())
+        assert report.failures, name
+        assert all(next(iter(f["inputs"])) == "instance" for f in report.failures), name
+        indices = [f["inputs"]["instance"] for f in report.failures]
+        assert indices == sorted(indices) and set(indices) <= set(range(5)), name
+        if name in ("thm_4_1", "thm_6_4"):
+            assert len(set(indices)) == len(indices), name
+    # Every instance records its inputs here, so unlike the passing
+    # reports this digest moves with any seeded stream.
+    assert digest.hexdigest() == "c2aa63dec38ce1cdaa23f0a5e0038e830e6aa313eed650e6db422b875680cd31"
