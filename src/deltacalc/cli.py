@@ -35,7 +35,7 @@ from .expansion import cyclic_factor, expand_single, expand_word_grouped, expand
 from .fdeg import fdeg_general
 from .group_ring import IntegerFunction, LatticePoint, apply, word_operator
 from .identities import available_identities, verify_identity
-from .polyfract import NEG_INFINITY, Polyfract, from_samples
+from .polyfract import NEG_INFINITY, Polyfract, binom, from_samples
 
 
 class ExpressionError(ValueError):
@@ -290,8 +290,6 @@ def parse(source: str, dimension: int) -> Expression:
 
 
 def evaluate_expression(node: Expression, x: Sequence[int]) -> int:
-    from .polyfract import binom
-
     if isinstance(node, IntLit):
         return node.value
     if isinstance(node, Var):
@@ -331,13 +329,10 @@ def expression_degree(node: Expression) -> int:
 
 
 def lower(node: Expression, dimension: int) -> Polyfract:
-    """The canonical binomial-basis form of the expression, obtained by
-    sampling it on [0, degree_bound]^N and rebuilding via differences."""
-    bound = expression_degree(node)
-    func = IntegerFunction.tabulate(
-        lambda p: evaluate_expression(node, p), dimension, 0, bound
-    )
-    return from_samples(func, bound)
+    """The canonical binomial-basis form of the expression, rebuilt by
+    differences from its values on the simplex |j| <= degree_bound."""
+    func = IntegerFunction(dimension, lambda p: evaluate_expression(node, p), "expression")
+    return from_samples(func, expression_degree(node))
 
 
 def _format_point(point: Iterable[int]) -> str:
@@ -664,7 +659,10 @@ def build_parser() -> argparse.ArgumentParser:
     fdeg_parser.add_argument("expression")
     fdeg_parser.add_argument("--box", type=int, default=2, help="direction box radius")
     fdeg_parser.add_argument(
-        "--budget", type=int, default=500, help="max sampled words at the refuted length"
+        "--budget",
+        type=int,
+        default=500,
+        help="max letters in the certified box; beyond it, that many sampled words",
     )
 
     reconstruct = sub.add_parser(

@@ -6,10 +6,18 @@ directions that length is just count(P), the basis degree, and a
 direct search (fdeg_standard_by_search) confirms it.  Allowing
 arbitrary nonzero step vectors changes nothing: fdeg_general produces
 a witness word of length count(P) made of steps from a finite box and
-then refutes longer words, exhaustively when the box allows it and by
-deterministic sampling otherwise.  The differences commute, so the
-refuted words are filed as sorted multisets in a trie and walked depth
-first: a shared prefix is differenced once for all the words below it.
+then refutes every word of length count(P) + 1 over the box.
+
+Refutation is a certificate when the box has at most ``max_extra``
+letters: every letter must strictly lower the count of every basis
+polynomial C(x, n) with n in the downward closure of P's support, and
+keep its difference inside that closure.  The differences are linear,
+so every word of length count(P) + 1 then annihilates P, whatever the
+number of such words.  One letter's certificate costs about as much as
+replaying one word.  A larger box falls back to a deterministic sample
+of ``max_extra`` words; the differences commute, so the sampled words
+are filed as sorted multisets in a trie and walked depth first, a
+shared prefix differenced once for all the words below it.
 
 Degrees are integers, with NEG_INFINITY reserved for the zero
 polynomial; a nonzero constant has degree 0 and the empty word as its
@@ -22,11 +30,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import sub
 from typing import Iterable, Iterator
 
 from .group_ring import DifferenceWord, LatticePoint
-from .polyfract import NEG_INFINITY, Polyfract
+from .polyfract import NEG_INFINITY, Polyfract, _compositions
 
 _SAMPLING_SEED = 0
 
@@ -36,10 +43,12 @@ class DegreeReport:
     """Outcome of a witness-and-refute degree computation.
 
     ``fdeg_general_lower`` is witnessed: applying ``witness_word`` to
-    the input leaves a nonzero polynomial.  Every inspected word of
-    length ``annihilation_checked_to`` annihilated the input; whether
-    "inspected" means all of them or a sample of ``words_refuted`` is
-    recorded in ``exhaustive``.
+    the input leaves a nonzero polynomial.  Words of length
+    ``annihilation_checked_to`` annihilate the input: all of them over
+    the box when ``exhaustive``, by a certificate of
+    ``certificate_checks`` (letter, basis polynomial) checks that covers
+    the ``words_refuted`` multisets of letters; otherwise a sample of
+    ``words_refuted`` words, and ``certificate_checks`` is 0.
     """
 
     fdeg_standard: int | float
@@ -48,6 +57,7 @@ class DegreeReport:
     annihilation_checked_to: int
     exhaustive: bool
     words_refuted: int
+    certificate_checks: int
 
     def to_record(self) -> dict:
         fdeg = "-inf" if self.fdeg_standard == NEG_INFINITY else self.fdeg_standard
@@ -82,18 +92,6 @@ def fdeg_standard_by_search(poly: Polyfract) -> int | float:
     raise AssertionError("a nonzero polynomial survives the empty difference")
 
 
-def _compositions(norm: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """The tuples of ``parts`` nonnegative integers summing to ``norm``,
-    in lexicographic order.
-
-    Each tuple is read off its cut points 0 <= c_1 <= ... <= c_{parts-1}
-    <= norm as the gaps between consecutive cuts, from 0 up to norm;
-    the cuts come in lexicographic order, and so do their gap tuples.
-    """
-    for cuts in itertools.combinations_with_replacement(range(norm + 1), parts - 1):
-        yield tuple(map(sub, cuts + (norm,), (0,) + cuts))
-
-
 def _box_letters(dimension: int, box: int) -> list[LatticePoint]:
     letters = [
         a
@@ -122,19 +120,42 @@ def _witness_search(
     return None
 
 
-def _refutation_words(
-    letters: list[LatticePoint], length: int, max_extra: int
-) -> tuple[list[DifferenceWord], bool]:
-    """The words of ``length`` to refute, and whether they are all of them.
+def _certify(poly: Polyfract, letters: list[LatticePoint]) -> int:
+    """Check, for every letter and every n in the downward closure S of
+    the support of ``poly``, that the difference of C(x, n) along the
+    letter has count below |n| and support in S; return the number of
+    checks.
 
-    Every multiset of letters when there are at most ``max_extra``, else
-    a deterministic sample of ``max_extra`` words.
+    Then each letter maps the span of {C(x, n) : n in S, |n| <= k} into
+    the same span at k - 1, so any count(poly) + 1 letters annihilate
+    ``poly``.  A failed check raises RuntimeError naming the letter and n.
     """
-    if math.comb(len(letters) + length - 1, length) <= max_extra:
-        return list(itertools.combinations_with_replacement(letters, length)), True
+    closure = {m for n in poly._coeffs for m in itertools.product(*(range(nl + 1) for nl in n))}
+    # below[k]: the points of the closure with norm below k, where the
+    # difference of a C(x, n) with |n| = k must lie.
+    below = [{m for m in closure if sum(m) < k} for k in range(int(poly.count()) + 1)]
+    basis = [
+        (n, below[sum(n)], Polyfract._from_clean(poly.dimension, {n: 1}))
+        for n in sorted(closure)
+    ]
+    for a in letters:
+        for n, allowed, element in basis:
+            if not allowed.issuperset(element.delta_direction(a)._coeffs):
+                raise RuntimeError(
+                    f"the difference along {a} of C(x, {n}) does not lower its count "
+                    "within the closure of the support; this contradicts the degree theory"
+                )
+    return len(letters) * len(basis)
+
+
+def _sampled_words(
+    letters: list[LatticePoint], length: int, count: int
+) -> Iterator[DifferenceWord]:
+    """``count`` words of ``length`` letters from a fixed-seed generator,
+    drawn one at a time."""
     rng = random.Random(_SAMPLING_SEED)
-    words = [tuple(rng.choice(letters) for _ in range(length)) for _ in range(max_extra)]
-    return words, False
+    for _ in range(count):
+        yield tuple(rng.choice(letters) for _ in range(length))
 
 
 def _refute(poly: Polyfract, words: Iterable[DifferenceWord]) -> None:
@@ -176,10 +197,12 @@ def fdeg_general(poly: Polyfract, direction_box: int, max_extra: int = 500) -> D
     """Witness the functional degree with arbitrary steps from the box
     [-direction_box, direction_box]^N and refute longer words.
 
-    At length count(poly) + 1 the words over the box are checked as
-    multisets (the operators commute); when there are more multisets
-    than ``max_extra`` a deterministic sample of ``max_extra`` words is
-    drawn instead and the report says so via ``exhaustive``.
+    ``max_extra`` caps the certified box in letters.  Up to that many
+    letters, a certificate shows that every word of length count(poly) + 1
+    over the box annihilates ``poly``, and the report counts the
+    multisets it covers in ``words_refuted``.  Beyond it, the same number
+    of deterministically sampled words is refuted instead and the report
+    says so via ``exhaustive``.
     """
     if not poly:
         raise ValueError("the zero polynomial has no degree witness")
@@ -202,8 +225,13 @@ def fdeg_general(poly: Polyfract, direction_box: int, max_extra: int = 500) -> D
             )
 
     target_length = degree + 1
-    words, exhaustive = _refutation_words(letters, target_length, max_extra)
-    _refute(poly, words)
+    exhaustive = len(letters) <= max_extra
+    if exhaustive:
+        checks = _certify(poly, letters)
+        refuted = math.comb(len(letters) + degree, target_length)
+    else:
+        _refute(poly, _sampled_words(letters, target_length, max_extra))
+        checks, refuted = 0, max_extra
 
     return DegreeReport(
         fdeg_standard=degree,
@@ -211,7 +239,8 @@ def fdeg_general(poly: Polyfract, direction_box: int, max_extra: int = 500) -> D
         witness_word=witness,
         annihilation_checked_to=target_length,
         exhaustive=exhaustive,
-        words_refuted=len(words),
+        words_refuted=refuted,
+        certificate_checks=checks,
     )
 
 

@@ -162,10 +162,11 @@ def apply(element: GroupRingElement, func: Callable[[LatticePoint], int], x: Ite
 class IntegerFunction:
     """An evaluatable integer-valued function on Z^N.
 
-    Exact kinds ("polyfract", "monomial") wrap a closed form and
-    evaluate anywhere.  The "tabulated" kind wraps a finite table over
-    a cube window [lo, hi]^N and refuses to extrapolate: evaluation
-    outside the window raises :class:`WindowError` instead of guessing.
+    Exact kinds ("polyfract", "monomial", and the CLI's parsed
+    "expression") wrap a closed form and evaluate anywhere.  The
+    "tabulated" kind wraps a finite table over a cube window [lo, hi]^N
+    and refuses to extrapolate: evaluation outside the window raises
+    :class:`WindowError` instead of guessing.
 
     ``evaluate`` is trusted: it is only ever given a tuple of the
     function's dimension, inside the window when there is one.

@@ -58,22 +58,40 @@ def binom(x: int, k: int) -> int:
 
 
 def exponent_tuples(dimension: int, max_norm: int | float) -> Iterator[ExponentTuple]:
-    """All tuples n in N^dimension with |n| <= max_norm."""
+    """All tuples n in N^dimension with |n| <= max_norm, in lexicographic order."""
     if max_norm < 0:
         return
-    bound = int(max_norm)
-    for exps in itertools.product(range(bound + 1), repeat=dimension):
-        if sum(exps) <= bound:
-            yield exps
+    # A tuple with one more part for the slack max_norm - |n| sums to
+    # max_norm exactly; the slack is fixed by n, so dropping it keeps
+    # the lexicographic order.
+    for padded in _compositions(int(max_norm), dimension + 1):
+        yield padded[:-1]
+
+
+def _compositions(norm: int, parts: int) -> Iterator[ExponentTuple]:
+    """The tuples of ``parts`` nonnegative integers summing to ``norm``,
+    in lexicographic order.
+
+    Each tuple is read off its cut points 0 <= c_1 <= ... <= c_{parts-1}
+    <= norm as the gaps between consecutive cuts, from 0 up to norm;
+    the cuts come in lexicographic order, and so do their gap tuples.
+    """
+    for cuts in itertools.combinations_with_replacement(range(norm + 1), parts - 1):
+        yield tuple(map(sub, cuts + (norm,), (0,) + cuts))
 
 
 @lru_cache(maxsize=16384)
-def _shifted_basis(n: ExponentTuple, a: LatticePoint) -> tuple[tuple[ExponentTuple, int], ...]:
+def _shifted_basis(
+    n: ExponentTuple, a: LatticePoint
+) -> tuple[tuple[ExponentTuple, ...], tuple[int, ...]]:
     # The forward difference C(x + a, n) - C(x, n) re-expanded over the
-    # basis.  Per axis, C(x + a, n) is the sum over j <= n of
-    # C(a, j) * C(x, n - j); the j = 0 term is C(x, n) itself and cancels,
-    # so it is skipped.  Adding C(x, n) back gives the shift.
-    out = []
+    # basis, as its exponent tuples and their weights.  Per axis,
+    # C(x + a, n) is the sum over j <= n of C(a, j) * C(x, n - j); the
+    # j = 0 term is C(x, n) itself and cancels, so it is skipped.  Adding
+    # C(x, n) back gives the shift.  Two flat tuples per row, with the
+    # exponent tuples interned, keep this, the largest cache, small.
+    targets = []
+    weights = []
     terms = itertools.product(*(range(nl + 1) for nl in n))
     next(terms)
     for j in terms:
@@ -83,8 +101,17 @@ def _shifted_basis(n: ExponentTuple, a: LatticePoint) -> tuple[tuple[ExponentTup
             if not weight:
                 break
         if weight:
-            out.append((tuple(nl - jl for nl, jl in zip(n, j)), weight))
-    return tuple(out)
+            targets.append(_interned(tuple(map(sub, n, j))))
+            weights.append(weight)
+    return tuple(targets), tuple(weights)
+
+
+@lru_cache(maxsize=4096)
+def _interned(target: ExponentTuple) -> ExponentTuple:
+    # The first copy of each exponent tuple, shared by every cached row
+    # that targets it: over the degree benchmark some 7,500 rows repeat
+    # about 60 distinct tuples.
+    return target
 
 
 def _checked_exponents(exps: Iterable[int], dimension: int) -> ExponentTuple:
@@ -161,7 +188,8 @@ class Polyfract(SparseMap):
         # out + (the difference of self along a); takes ownership of out.
         get = out.get
         for n, b in self._coeffs.items():
-            for target, weight in _shifted_basis(n, a):
+            targets, weights = _shifted_basis(n, a)
+            for target, weight in zip(targets, weights):
                 out[target] = get(target, 0) + b * weight
         return Polyfract._from_clean(self.dimension, prune(out))
 
@@ -218,27 +246,33 @@ def from_samples(func: IntegerFunction, degree_bound: int | float) -> Polyfract:
     ``func`` pointwise.
 
     Coefficients are iterated differences at the origin, so only the
-    values of ``func`` on the box [0, degree_bound]^N are touched.  The
-    caller vouches that ``func`` really is a polynomial function within
-    the bound; nothing here can detect a lie outside the sampled box.
+    values of ``func`` on the simplex |j| <= degree_bound are touched:
+    Newton's forward differences run in place there, one axis at a
+    time.  The caller vouches that ``func`` really is a polynomial
+    function within the bound; nothing here can detect a lie outside
+    the sampled simplex.
     """
-    coeffs = {}
-    for n in exponent_tuples(func.dimension, degree_bound):
-        b = _difference_at_origin(func, n)
-        if b:
-            coeffs[n] = b
-    return Polyfract._from_clean(func.dimension, coeffs)
-
-
-def _difference_at_origin(func: IntegerFunction, n: ExponentTuple) -> int:
-    norm = sum(n)
-    total = 0
-    for j in itertools.product(*(range(nl + 1) for nl in n)):
-        weight = 1
-        for nl, jl in zip(n, j):
-            weight *= binom(nl, jl)
-        total += (-1) ** (norm - sum(j)) * weight * func(j)
-    return total
+    dimension = func.dimension
+    if degree_bound < 0:
+        return Polyfract._from_clean(dimension, {})
+    bound = int(degree_bound)
+    points = list(exponent_tuples(dimension, bound))
+    values = dict(zip(points, map(func._at, points)))
+    for axis in range(dimension):
+        # After pass k a point with j_axis >= k holds the k-th difference
+        # along the axis taken at j - k*e_axis.  Descending j_axis reads
+        # each point below before it is overwritten, and j - e_axis stays
+        # in the simplex.
+        steps = sorted(
+            ((j[axis], j, j[:axis] + (j[axis] - 1,) + j[axis + 1 :]) for j in points if j[axis]),
+            reverse=True,
+        )
+        for k in range(1, bound + 1):
+            for height, j, below in steps:
+                if height < k:
+                    break
+                values[j] -= values[below]
+    return Polyfract._from_clean(dimension, prune(values))
 
 
 def from_monomial(poly: MonomialPolynomial) -> Polyfract:

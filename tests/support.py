@@ -17,6 +17,7 @@ import math
 import random
 
 from deltacalc import Polyfract, binom, expand_single, identity
+from deltacalc.fdeg import _sampled_words
 
 
 def random_polyfract(
@@ -76,6 +77,45 @@ def first_surviving_word(poly: Polyfract, words):
     return None
 
 
+def first_surviving_multiset(poly: Polyfract, letters, length: int):
+    """The first multiset of ``length`` letters, in
+    combinations_with_replacement order, that does not annihilate
+    ``poly``, every one replayed literally; None when all of them do."""
+    return first_surviving_word(poly, itertools.combinations_with_replacement(letters, length))
+
+
+def refutation_words(letters, length: int, max_extra: int):
+    """Every multiset of ``length`` letters when there are at most
+    ``max_extra``, else fdeg's seeded sample of ``max_extra`` words; as a
+    list, with whether it holds every multiset."""
+    if math.comb(len(letters) + length - 1, length) <= max_extra:
+        return list(itertools.combinations_with_replacement(letters, length)), True
+    return list(_sampled_words(letters, length, max_extra)), False
+
+
+def from_samples_by_differences(func, degree_bound):
+    """from_samples one coefficient at a time over the filtered box: each
+    is the alternating binomial sum of the samples below its exponent
+    tuple."""
+    coeffs = {}
+    for n in exponent_tuples_by_filter(func.dimension, degree_bound):
+        b = _difference_at_origin(func, n)
+        if b:
+            coeffs[n] = b
+    return Polyfract(func.dimension, coeffs)
+
+
+def _difference_at_origin(func, n) -> int:
+    norm = sum(n)
+    total = 0
+    for j in itertools.product(*(range(nl + 1) for nl in n)):
+        weight = 1
+        for nl, jl in zip(n, j):
+            weight *= binom(nl, jl)
+        total += (-1) ** (norm - sum(j)) * weight * func(j)
+    return total
+
+
 def apply_by_public_calls(element, func, x) -> int:
     """apply the literal way: sum(c * func(x + p)) over the terms in
     storage order (the order apply meets a point outside a window in),
@@ -107,3 +147,12 @@ def compositions_by_filter(norm: int, parts: int) -> list[tuple[int, ...]]:
     """The tuples of ``parts`` entries in 0..norm that sum to norm, by
     filtering the whole box."""
     return [m for m in itertools.product(range(norm + 1), repeat=parts) if sum(m) == norm]
+
+
+def exponent_tuples_by_filter(dimension: int, max_norm) -> list[tuple[int, ...]]:
+    """The tuples of ``dimension`` entries with |n| <= max_norm, by
+    filtering the whole box [0, max_norm]^dimension."""
+    if max_norm < 0:
+        return []
+    bound = int(max_norm)
+    return [n for n in itertools.product(range(bound + 1), repeat=dimension) if sum(n) <= bound]

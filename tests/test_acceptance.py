@@ -190,7 +190,7 @@ GOLDEN_FDEG = """{
     }
   ],
   "report": {
-    "exhaustive": false,
+    "exhaustive": true,
     "fdeg": 2,
     "refuted_length": 3,
     "witness": [

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -12,12 +13,15 @@ from deltacalc import (
     fdeg_standard_by_search,
     leading_term_check,
 )
-from deltacalc.fdeg import _box_letters, _compositions, _refutation_words, _refute
+from deltacalc import polyfract
+from deltacalc.fdeg import _box_letters, _compositions, _refute
 from support import (
     compositions_by_filter,
+    first_surviving_multiset,
     first_surviving_word,
     nonzero_polyfract,
     random_polyfract,
+    refutation_words,
 )
 
 
@@ -83,9 +87,9 @@ def test_witnesses_are_replayable():
 
 def test_sampling_kicks_in_beyond_the_budget():
     poly = Polyfract(2, {(2, 2): 1})
-    report = fdeg_general(poly, direction_box=2, max_extra=100)
+    report = fdeg_general(poly, direction_box=2, max_extra=20)
     assert not report.exhaustive
-    assert report.words_refuted == 100
+    assert report.words_refuted == 20
 
 
 def _assert_refutation_matches_replay(poly, words):
@@ -107,12 +111,12 @@ def test_trie_refutation_matches_word_replay():
         letters = _box_letters(dimension, box)
         degree = int(poly.count())
         max_extra = rng.choice((20, 300))
-        refuted, exhaustive = _refutation_words(letters, degree + 1, max_extra)
+        refuted, exhaustive = refutation_words(letters, degree + 1, max_extra)
         kinds.add(exhaustive)
         _assert_refutation_matches_replay(poly, refuted)
         # Words one letter short hold the witness or may miss it when
         # sampled; mixed in, they put survivors at random places.
-        short, _ = _refutation_words(letters, degree, max_extra)
+        short, _ = refutation_words(letters, degree, max_extra)
         _assert_refutation_matches_replay(poly, short)
         mixed = refuted + short
         rng.shuffle(mixed)
@@ -120,14 +124,75 @@ def test_trie_refutation_matches_word_replay():
 
         report = fdeg_general(poly, direction_box=box, max_extra=max_extra)
         multisets = math.comb(len(letters) + degree, degree + 1)
-        assert report.exhaustive == exhaustive == (multisets <= max_extra)
-        assert report.words_refuted == min(multisets, max_extra)
+        assert exhaustive == (multisets <= max_extra)
+        assert report.exhaustive == (len(letters) <= max_extra)
+        assert report.words_refuted == (multisets if report.exhaustive else max_extra)
     assert kinds == {True, False}
+
+
+def test_certified_reports_agree_with_multiset_replay():
+    # Every (dimension, box, count) with at most 25,000 multisets at the
+    # refuted length; only dimension 3 at box 2 and counts 2-3 has more
+    # (325,500 and 10,586,800 words to replay).
+    rng = random.Random(5150)
+    covered = 0
+    for dimension, box, count in itertools.product((1, 2, 3), (1, 2), range(4)):
+        letters = _box_letters(dimension, box)
+        multisets = math.comb(len(letters) + count, count + 1)
+        if multisets > 25_000:
+            continue
+        while True:
+            poly = nonzero_polyfract(rng, dimension, max_count=count)
+            if poly.count() == count:
+                break
+        report = fdeg_general(poly, direction_box=box, max_extra=len(letters))
+        assert report.exhaustive
+        assert report.words_refuted == multisets
+        assert first_surviving_multiset(poly, letters, count + 1) is None
+        covered += 1
+    assert covered == 22
+
+
+def test_certificate_checks_every_letter_on_the_closed_support():
+    report = fdeg_general(Polyfract(2, {(1, 1): 1}), direction_box=2)
+    # 24 letters times the closure {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert report.certificate_checks == 96
+    assert report.words_refuted == math.comb(26, 3)
+    sampled = fdeg_general(Polyfract(2, {(1, 1): 1}), direction_box=2, max_extra=23)
+    assert sampled.certificate_checks == 0
+    assert not sampled.exhaustive
+
+
+def test_a_faulty_difference_row_fails_the_certificate(monkeypatch):
+    rows = polyfract._shifted_basis
+    faults = {
+        # keeps its j = 0 term, so the difference is the shift and keeps the
+        # count; (2, 2) is the last letter of the box
+        ((1, 0), (2, 2)): ((1, 0), 1),
+        # lowers the count but leaves the closure {(0, 0), (1, 0), (2, 0)}
+        ((2, 0), (-1, 1)): ((0, 1), 1),
+    }
+    poly = Polyfract(2, {(2, 0): 3, (1, 0): 1})
+    for bad, (target, weight) in faults.items():
+
+        def faulty(n, a, bad=bad, target=target, weight=weight):
+            targets, weights = rows(n, a)
+            if (n, a) == bad:
+                return targets + (target,), weights + (weight,)
+            return targets, weights
+
+        monkeypatch.setattr(polyfract, "_shifted_basis", faulty)
+        n, a = bad
+        message = re.escape(f"the difference along {a} of C(x, {n}) does not lower")
+        with pytest.raises(RuntimeError, match=message):
+            fdeg_general(poly, direction_box=2)
+    monkeypatch.undo()
+    assert fdeg_general(poly, direction_box=2).exhaustive
 
 
 def test_words_of_the_degree_length_do_not_all_annihilate():
     poly = Polyfract(2, {(1, 1): 1, (1, 0): 3})
-    words, exhaustive = _refutation_words(_box_letters(2, 1), 2, max_extra=500)
+    words, exhaustive = refutation_words(_box_letters(2, 1), 2, max_extra=500)
     assert exhaustive
     with pytest.raises(RuntimeError, match=r"word \(\(-1, -1\), \(-1, -1\)\) of length 2"):
         _refute(poly, words)

@@ -18,7 +18,12 @@ from deltacalc import (
     from_samples,
 )
 from deltacalc.identities import random_point, standard_word_element
-from support import nonzero_polyfract, random_polyfract
+from support import (
+    exponent_tuples_by_filter,
+    from_samples_by_differences,
+    nonzero_polyfract,
+    random_polyfract,
+)
 
 
 def test_binom_matches_comb_on_nonnegative_arguments():
@@ -190,6 +195,36 @@ def test_from_samples_needs_the_sampling_box():
     f = IntegerFunction.tabulate(lambda p: p[0], 1, 0, 1)
     with pytest.raises(WindowError):
         from_samples(f, 3)
+
+
+def test_simplex_reconstruction_matches_the_difference_route():
+    rng = random.Random(9061)
+    for trial in range(60):
+        dimension = rng.randint(1, 3)
+        if trial % 10 == 0:
+            zero = IntegerFunction.from_polyfract(Polyfract(dimension))
+            rebuilt = from_samples(zero, NEG_INFINITY)
+            assert rebuilt == from_samples_by_differences(zero, NEG_INFINITY) == Polyfract(dimension)
+        poly = nonzero_polyfract(rng, dimension, max_count=4)
+        for bound in range(poly.count(), poly.count() + 3):
+            exact = IntegerFunction.from_polyfract(poly)
+            assert from_samples(exact, bound) == from_samples_by_differences(exact, bound) == poly
+            # Any table, polynomial or not, has the same differences by both routes.
+            table = IntegerFunction.tabulate(lambda p: rng.randint(-50, 50), dimension, 0, bound)
+            assert from_samples(table, bound) == from_samples_by_differences(table, bound)
+            if bound:
+                short = IntegerFunction.tabulate(lambda p: 1, dimension, 0, bound - 1)
+                with pytest.raises(WindowError):
+                    from_samples(short, bound)
+                with pytest.raises(WindowError):
+                    from_samples_by_differences(short, bound)
+
+
+def test_exponent_tuples_match_the_filtered_box():
+    for dimension in (1, 2, 3, 4):
+        for max_norm in (NEG_INFINITY, -1, 0, 1, 2, 5):
+            expected = exponent_tuples_by_filter(dimension, max_norm)
+            assert list(exponent_tuples(dimension, max_norm)) == expected
 
 
 def test_from_monomial_square_and_cube():
